@@ -1,12 +1,12 @@
 """Mobility-step ablation (ours): incremental user updates vs rebuild.
 
-``simulate_mobility`` historically reconstructed the whole
-:class:`CoverageGraph` — location edges, spatial hashes, hop structure —
-on every step, although a mobility step only moves *users*.  The loop
-now keeps one working graph (:meth:`CoverageGraph.with_users`) and calls
-:meth:`~CoverageGraph.move_users` per step, invalidating only the
-user-side coverage cache.  This bench measures the per-step win and
-records it as a trajectory point.
+Rebuilding the whole :class:`CoverageGraph` — location edges, spatial
+hashes, hop structure — on every mobility step is wasted work, because a
+step only moves *users*.  Keeping one working graph
+(:meth:`CoverageGraph.with_users`) and calling
+:meth:`~CoverageGraph.move_users` per step invalidates only the user-side
+coverage cache.  This bench measures the per-step win and records it as a
+trajectory point.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.assignment import optimal_assignment
 from repro.network.coverage import CoverageGraph
-from repro.sim.mobility import GaussianWalk, simulate_mobility
+from repro.sim.mobility import GaussianWalk
 from repro.workload.scenarios import paper_scenario
 
 from .conftest import BENCH_SCALE
@@ -53,8 +53,8 @@ def test_incremental_step_beats_rebuild(figure_report, perf_trajectory):
     placements = {k: k for k in range(problem.num_uavs)}
     positions = _walk_positions(problem, STEPS)
 
-    # Old path: a brand-new graph (location edges + spatial hashes) per
-    # step, exactly what the pre-refactor loop did.
+    # Rebuild: a brand-new graph (location edges + spatial hashes) per
+    # step.
     start = time.perf_counter()
     rebuilt_served = []
     for xy in positions:
@@ -71,7 +71,7 @@ def test_incremental_step_beats_rebuild(figure_report, perf_trajectory):
         )
     rebuild_s = (time.perf_counter() - start) / STEPS
 
-    # New path: one working clone, move_users per step.
+    # Incremental: one working clone, move_users per step.
     start = time.perf_counter()
     incremental_served = []
     working = graph.with_users(graph.users)
@@ -103,29 +103,3 @@ def test_incremental_step_beats_rebuild(figure_report, perf_trajectory):
         speedup=None if speedup is None else round(speedup, 2),
     )
 
-
-def test_simulate_mobility_wall(figure_report, perf_trajectory):
-    """End-to-end loop timing on the refreshed implementation."""
-    problem = paper_scenario(
-        num_users=400, num_uavs=6, scale=BENCH_SCALE, seed=9
-    )
-
-    def planner(p):
-        from repro.core.approx import appro_alg
-
-        return appro_alg(
-            p, s=1, gain_mode="fast", max_anchor_candidates=6
-        ).deployment
-
-    start = time.perf_counter()
-    trace = simulate_mobility(
-        problem, planner, steps=STEPS, redeploy_every=4, seed=5
-    )
-    wall = time.perf_counter() - start
-    assert len(trace.served) == STEPS
-    perf_trajectory.record(
-        scenario="mobility:simulate",
-        algorithm="refresh/4",
-        served=trace.final_served,
-        wall_s=wall,
-    )

@@ -1,22 +1,20 @@
-"""Mission operations: gateway link, endurance budget, user mobility.
+"""Mission operations: endurance budget, user mobility, failure impact.
 
 Goes beyond the paper's one-shot placement into the operational questions
-its system model raises (Fig. 1 / Section II):
+its system model raises (Section II):
 
-1. the network must include a *gateway* UAV within range of the emergency
-   communication vehicle — we retrofit that constraint;
-2. batteries are finite — how long can the network stay aloft?
-3. trapped users move — how fast does a stale deployment decay, and how
-   much does periodic re-deployment (Section II-C) recover?
+1. batteries are finite — how long can the network stay aloft?
+2. trapped users move — how fast does a stale deployment decay, and how
+   much does periodic re-deployment (Section II-C) recover?  Both
+   policies run as missions of the dynamics engine (:mod:`repro.dynamics`);
+3. which single UAV failure hurts most?
 
 Run:  python examples/mission_operations.py
 """
 
 from repro import appro_alg, paper_scenario
-from repro.core.gateway import Gateway, appro_alg_with_gateway, has_gateway_link
-from repro.geometry.point import Point2D
+from repro.dynamics import DynamicSpec, run_dynamic
 from repro.network.energy import EnergyModel, fleet_endurance_s, mission_endurance_s
-from repro.sim.mobility import GaussianWalk, compare_policies
 from repro.sim.render import ascii_map
 from repro.util.tables import format_table
 
@@ -25,15 +23,11 @@ def main() -> None:
     problem = paper_scenario(num_users=400, num_uavs=6, scale="small", seed=11)
     planner_kwargs = dict(s=2, gain_mode="fast")
 
-    # 1. Gateway: the emergency communication vehicle parks at the SW corner.
-    gateway = Gateway(position=Point2D(0.0, 0.0))
-    deployment = appro_alg_with_gateway(problem, gateway, **planner_kwargs)
-    assert deployment is not None, "gateway unreachable — move the vehicle"
-    print("deployment with gateway link "
-          f"(linked: {has_gateway_link(problem, deployment, gateway)}):\n")
+    deployment = appro_alg(problem, **planner_kwargs).deployment
+    print(f"deployment serving {deployment.served_count} users:\n")
     print(ascii_map(problem, deployment, cols=45, rows=12))
 
-    # 2. Endurance: who lands first?
+    # 1. Endurance: who lands first?
     model = EnergyModel()
     per_uav = fleet_endurance_s(problem.fleet, deployment, model)
     rows = [
@@ -49,31 +43,43 @@ def main() -> None:
     print(f"\nnetwork endurance (first battery empty): {mission_min:.0f} min "
           "- plan battery swaps accordingly.")
 
-    # 3. Mobility: stale vs periodically refreshed placement.
-    stale, refreshed = compare_policies(
-        problem,
-        planner=lambda p: appro_alg(p, **planner_kwargs).deployment,
-        steps=10,
-        redeploy_every=3,
-        mobility=GaussianWalk(sigma_m=120.0),
-        seed=4,
-    )
+    # 2. Mobility: the same users walk (sigma = 120 m per minute, no
+    # arrivals or departures); "event" never re-plans without a fault,
+    # "periodic" re-plans every 3 minutes.
+    missions = {
+        policy: run_dynamic(DynamicSpec(
+            name=f"mobility-{policy}", scale="small", num_users=400,
+            num_uavs=6, seed=11, algorithm_params=planner_kwargs,
+            duration_s=600.0, epoch_s=180.0, resolve_policy=policy,
+            arrival_rate_per_s=0.0, hotspot_drift_mps=0.0,
+            mobility_sigma_m=120.0, mobility_step_s=60.0,
+        ))
+        for policy in ("event", "periodic")
+    }
+    minutes = {
+        policy: {t: served for t, served, _ in result.timeline}
+        for policy, result in missions.items()
+    }
+    ticks = sorted(minutes["event"])
     print()
     print(format_table(
-        ["step"] + [str(i) for i in range(1, len(stale.served) + 1)],
+        ["minute"] + [f"{t / 60.0:.0f}" for t in ticks],
         [
-            ["stale"] + stale.served,
-            ["refresh/3"] + refreshed.served,
+            ["stale"] + [minutes["event"][t] for t in ticks],
+            ["refresh/3 min"] + [minutes["periodic"][t] for t in ticks],
         ],
-        title="served users while people move (sigma = 120 m/step)",
+        title="served users while people move (sigma = 120 m/min)",
     ))
+    stale, refreshed = missions["event"], missions["periodic"]
     print(
-        f"\nmean served: stale {stale.mean_served:.0f} vs refreshed "
-        f"{refreshed.mean_served:.0f} "
-        f"({refreshed.redeploys - 1} re-deployments)"
+        f"\nmean coverage: stale {stale.mean_coverage:.1%} vs refreshed "
+        f"{refreshed.mean_coverage:.1%} "
+        f"({len(refreshed.resolve_latencies_s)} re-deployments)"
     )
+    assert not stale.resolve_latencies_s
+    assert refreshed.resolve_latencies_s
 
-    # 4. Resilience: which single UAV failure hurts most?
+    # 3. Resilience: which single UAV failure hurts most?
     from repro.network.resilience import single_failure_impacts
 
     impacts = single_failure_impacts(problem, deployment)

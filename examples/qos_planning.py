@@ -1,4 +1,4 @@
-"""QoS planning: mixed traffic classes, spectrum, and fleet sizing.
+"""QoS planning: mixed traffic classes and spectrum.
 
 Extends the paper's uniform-2-kbps world to a realistic mix: 80% of
 survivors need voice-grade links (2 kbps floor) and 20% need video-grade
@@ -7,9 +7,7 @@ links (2.5 Mbps floor, e.g. rescue-team video uplinks).  Then:
 1. plan the deployment with approAlg (the rate floors flow through the
    coverage graph automatically);
 2. audit the plan under reuse-1 interference, allocate channels, and show
-   how many channels restore link quality;
-3. ask the inverse question: how many UAVs until 90% of survivors are
-   served?
+   how many channels restore link quality.
 
 Run:  python examples/qos_planning.py
 """
@@ -17,7 +15,6 @@ Run:  python examples/qos_planning.py
 from repro import appro_alg, paper_scenario
 from repro.channel.interference import audit_interference
 from repro.network.spectrum import allocate_channels
-from repro.sim.planning import uavs_needed_for_target
 from repro.util.tables import format_table
 from repro.workload.fat_tailed import FatTailedWorkload
 
@@ -81,23 +78,6 @@ def main() -> None:
         rows,
         title="interference audit: spectrum vs link quality",
     ))
-
-    # Fleet sizing.
-    sizing = uavs_needed_for_target(
-        problem,
-        lambda p: appro_alg(p, s=min(2, p.num_uavs), gain_mode="fast",
-                            max_anchor_candidates=8).deployment,
-        target_fraction=0.9,
-    )
-    print()
-    rows = [[p.num_uavs, p.served, f"{p.fraction:.0%}"] for p in sizing.curve]
-    print(format_table(["UAVs", "served", "fraction"], rows,
-                       title="coverage curve (fleet prefixes)"))
-    if sizing.achieved:
-        print(f"\n=> {sizing.required_uavs} UAVs reach the 90% target.")
-    else:
-        print("\n=> the full fleet cannot reach 90%; acquire more UAVs "
-              "or relax the video QoS.")
 
 
 if __name__ == "__main__":

@@ -435,9 +435,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         try:
             if overrides:
                 spec = spec.with_overrides(**overrides)
-            # The archive keys runs on scenario identity; stash it for
-            # _observed, which only sees the parsed args.
-            args._scenario_key = spec.scenario_key()
+            # The manifest and archive describe the resolved spec; stash
+            # it for _observed, which only sees the parsed args.
+            args._spec = spec
             state = pipeline.run(spec)
         except SpecError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -520,7 +520,7 @@ def _cmd_mission(args: argparse.Namespace) -> int:
         num_uavs=args.uavs,
         seed=seed,
     )
-    args._scenario_key = spec.scenario_key()
+    args._spec = spec
     problem = spec.build()
     try:
         # The fault draw runs on its own derived stream (see
@@ -617,7 +617,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
         overrides["epoch_s"] = args.epoch
     if overrides:
         spec = spec.with_overrides(**overrides)
-    args._scenario_key = spec.scenario_key()
+    args._spec = spec
     warm = False if args.cold else None
 
     if args.seeds > 1:
@@ -811,19 +811,33 @@ def _observed(handler, args: argparse.Namespace) -> int:
         metrics = obs.metrics_snapshot()
         snapshots = recorder.snapshots() if recorder is not None else []
         obs.reset()
-        scenario = {
-            key: getattr(args, key)
-            for key in ("users", "uavs", "scale")
-            if getattr(args, key, None) is not None
-        }
+        spec = getattr(args, "_spec", None)
+        if spec is not None:
+            # Presets and spec files override the flags' defaults.
+            config = spec.to_config()
+            scenario = {
+                "scenario_key": spec.scenario_key(),
+                "users": config.num_users,
+                "uavs": config.num_uavs,
+                "scale": spec.scale,
+                "aggregate": spec.aggregation,
+                "tiles": spec.tiles,
+            }
+        else:
+            scenario = {
+                key: getattr(args, key)
+                for key in ("users", "uavs", "scale")
+                if getattr(args, key, None) is not None
+            }
         manifest = obs.RunManifest(
             command=args.command,
-            seed=getattr(args, "seed", None),
+            seed=spec.seed if spec is not None else getattr(args, "seed", None),
             scenario=scenario,
             algorithm=getattr(args, "algorithm", None),
             config={
                 k: v for k, v in vars(args).items()
-                if k not in ("trace", "metrics_out") and not callable(v)
+                if k not in ("trace", "metrics_out", "_spec")
+                and not callable(v)
             },
             git_rev=obs.git_revision(),
             stats={
@@ -848,7 +862,7 @@ def _observed(handler, args: argparse.Namespace) -> int:
                 metrics=metrics,
                 spans=spans,
                 timeline=snapshots,
-                scenario_key=getattr(args, "_scenario_key", None),
+                scenario_key=spec.scenario_key() if spec is not None else None,
                 served=getattr(args, "_served", None),
             )
             print(f"run archived as {run_id} under {archive.root}")

@@ -1,8 +1,7 @@
 """From-scratch graph substrate.
 
 The algorithms in :mod:`repro.core` need: BFS hop distances over the
-candidate-location graph, minimum spanning trees over a hop metric, Eulerian
-paths obtained by doubling tree edges (the analysis of Section III-A), and
+candidate-location graph, minimum spanning trees over a hop metric, and
 shortest-path Steiner expansion of an MST (the connection step of
 Section III-E).  networkx is deliberately *not* used here — it serves only
 as a test oracle.
@@ -16,7 +15,6 @@ from repro.graphs.bfs import (
     multi_source_hops,
     shortest_hop_path,
 )
-from repro.graphs.euler import eulerian_path_by_doubling
 from repro.graphs.mst import minimum_spanning_tree
 from repro.graphs.steiner import steiner_connect
 
@@ -27,7 +25,6 @@ __all__ = [
     "is_connected",
     "multi_source_hops",
     "shortest_hop_path",
-    "eulerian_path_by_doubling",
     "minimum_spanning_tree",
     "steiner_connect",
 ]

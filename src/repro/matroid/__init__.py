@@ -1,4 +1,4 @@
-"""Matroids and submodular maximisation (Sections II-E, III-B, III-C).
+"""Matroids of the proposed algorithm (Sections II-E, III-B, III-C).
 
 The proposed algorithm maximises a monotone submodular coverage function
 subject to the intersection of two matroids: the partition matroid ``M1``
@@ -6,19 +6,17 @@ subject to the intersection of two matroids: the partition matroid ``M1``
 counts per hop distance from the anchor set bounded by ``Q_h``, Eq. 1).
 Fisher–Nemhauser–Wolsey greedy gives a 1/(ρ+1) = 1/3 approximation for
 ρ = 2 matroids.
+
+Only ``M2`` needs an independence oracle.  ``M1`` holds by construction:
+:func:`repro.core.greedy.anchored_greedy` places exactly one UAV per
+iteration, and :func:`repro.core.greedy.pair_greedy` drops a UAV once it
+is used.
 """
 
 from repro.matroid.base import Matroid
 from repro.matroid.hop import HopCountingMatroid
-from repro.matroid.intersection import independent_in_all
-from repro.matroid.partition import PartitionMatroid
-from repro.matroid.submodular import CoverageObjective, fnw_greedy
 
 __all__ = [
     "Matroid",
     "HopCountingMatroid",
-    "independent_in_all",
-    "PartitionMatroid",
-    "CoverageObjective",
-    "fnw_greedy",
 ]

@@ -1,11 +1,9 @@
 """Experiment harness: algorithm registry, sweep runners and result tables
 for regenerating every figure of the paper's Section IV."""
 
-from repro.sim.compare import PairedComparison, compare_algorithms
 from repro.sim.experiments import fig4_sweep, fig5_sweep, fig6_sweep
 from repro.sim.metrics import DeploymentMetrics, summarize
-from repro.sim.mobility import GaussianWalk, compare_policies, simulate_mobility
-from repro.sim.planning import coverage_curve, uavs_needed_for_target
+from repro.sim.mobility import GaussianWalk
 from repro.sim.relocation import naive_relocation, plan_relocation
 from repro.sim.render import ascii_map
 from repro.sim.report import deployment_report
@@ -14,10 +12,6 @@ from repro.sim.rotation import max_sustainable_mission_s, plan_rotation
 from repro.sim.runner import ALGORITHMS
 
 __all__ = [
-    "PairedComparison",
-    "compare_algorithms",
-    "coverage_curve",
-    "uavs_needed_for_target",
     "naive_relocation",
     "plan_relocation",
     "deployment_report",
@@ -29,8 +23,6 @@ __all__ = [
     "DeploymentMetrics",
     "summarize",
     "GaussianWalk",
-    "compare_policies",
-    "simulate_mobility",
     "ascii_map",
     "RunRecord",
     "SweepResult",

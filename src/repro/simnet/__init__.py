@@ -1,27 +1,7 @@
-"""Discrete-event simulation of the deployed UAV network (substrate).
-
-The paper's capacity constraint rests on a systems claim (Section I,
-citing SkyCore [27]): a UAV base station runs its control/data plane on a
-resource-constrained onboard server, so "if too many users access the
-UAV, each user will experience a very long service delay, e.g., a few
-seconds, and the network throughput also significantly decreases".  This
-package makes that claim executable: users assigned to a UAV generate
-Poisson request traffic, each station serves requests FIFO with
-exponential service times sized by its capacity class, and the simulator
-measures per-request sojourn times.  Deployments that respect ``C_k``
-stay in the stable-queue regime; over-assignment pushes stations past
-saturation and latency diverges — exactly the behaviour the constraint
-encodes.
-"""
+"""Discrete-event substrate: the time-ordered :class:`EventQueue` that the
+mission runtime (:mod:`repro.ops.mission`) and the dynamics engine
+(:mod:`repro.dynamics`) schedule their events on."""
 
 from repro.simnet.events import EventQueue
-from repro.simnet.sim import NetworkStats, StationStats, simulate_network
-from repro.simnet.station import StationModel
 
-__all__ = [
-    "EventQueue",
-    "NetworkStats",
-    "StationStats",
-    "simulate_network",
-    "StationModel",
-]
+__all__ = ["EventQueue"]

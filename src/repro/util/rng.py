@@ -13,7 +13,7 @@ Seed derivation — the one documented scheme, used everywhere:
   what the historical ``paper_scenario(..., seed=7)`` call did;
 * **sweeps** derive one child stream per repetition / sweep point with
   :func:`spawn_rngs`, so inserting a point never perturbs the others
-  (:mod:`repro.sim.experiments`, :mod:`repro.sim.compare`);
+  (:mod:`repro.sim.experiments`);
 * **named auxiliary streams** (e.g. the mission fault schedule) derive a
   child seed with :func:`derive_seed` keyed on a label path, so the faults
   are independent of the scenario draw yet fully reproducible from the one

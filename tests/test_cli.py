@@ -180,6 +180,38 @@ class TestCli:
         saved = json.loads(metrics.read_text())
         assert saved["counters"]["runner.solves"] == 1
 
+    def test_preset_trace_manifest_records_resolved_spec(
+        self, capsys, tmp_path
+    ):
+        """The manifest describes the preset that ran (with the scale
+        overrides applied), not the flags' argparse defaults."""
+        import json
+
+        from repro import obs
+        from repro.scenario.spec import get_preset
+
+        trace = tmp_path / "preset.jsonl"
+        assert main([
+            "run", "--scenario", "demo-small", "--aggregate", "cells",
+            "--cell-size", "150", "--tiles", "2x2", "--tile-overlap", "300",
+            "--trace", str(trace),
+        ]) == 0
+        capsys.readouterr()
+        expected = get_preset("demo-small").with_overrides(
+            aggregation="cells", cell_size_m=150.0, tiles="2x2",
+            tile_overlap_m=300.0,
+        )
+        manifest = obs.read_trace(trace).manifest
+        assert manifest.seed == 42
+        assert manifest.scenario == {
+            "scenario_key": json.loads(json.dumps(expected.scenario_key())),
+            "users": 300,
+            "uavs": 6,
+            "scale": "small",
+            "aggregate": "cells",
+            "tiles": "2x2",
+        }
+
     def test_trace_report_renders_trace(self, capsys, tmp_path):
         trace = tmp_path / "out.jsonl"
         chrome = tmp_path / "chrome.json"

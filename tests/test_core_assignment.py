@@ -87,9 +87,9 @@ class TestOptimalAssignment:
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def test_random_instances_match_incremental(self, seed):
-        """optimal_assignment (Dinic) and CoverageObjective (incremental
+        """optimal_assignment (Dinic) and IncrementalAssignment (incremental
         augmentation) must agree on random sub-fleets."""
-        from repro.matroid.submodular import CoverageObjective
+        from repro.flow.bipartite import IncrementalAssignment
 
         problem = make_line_instance(
             num_locations=5, users_per_location=3,
@@ -101,8 +101,38 @@ class TestOptimalAssignment:
         locs = rng.choice(problem.num_locations, size=size, replace=False)
         placements = {int(k): int(j) for k, j in zip(uavs, locs)}
         flow = max_served(problem.graph, problem.fleet, placements)
-        objective = CoverageObjective(problem.graph, problem.fleet)
-        assert flow == objective.value(list(placements.items()))
+        engine = IncrementalAssignment(problem.num_users)
+        for k, j in placements.items():
+            uav = problem.fleet[k]
+            engine.open(
+                (k, j), problem.graph.coverable_users(j, uav), uav.capacity
+            )
+        assert flow == engine.served_count
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_served_is_monotone_submodular(self, seed):
+        """f(A) = max users served is monotone submodular in the placed
+        (UAV, location) pairs (Section III-B, after Megiddo [24]): for
+        A ⊆ B, f(A) <= f(B) and f(A + e) - f(A) >= f(B + e) - f(B)."""
+        problem = make_line_instance(
+            num_locations=5, users_per_location=3,
+            capacities=(1, 2, 3, 2, 1), spacing=350.0,
+        )
+        rng = np.random.default_rng(seed)
+        pairs = [
+            (int(k), int(j))
+            for k, j in zip(rng.permutation(problem.num_uavs),
+                            rng.permutation(problem.num_locations))
+        ]
+        *b, e = pairs
+        a = b[:int(rng.integers(0, len(b) + 1))]
+
+        def f(chosen):
+            return max_served(problem.graph, problem.fleet, dict(chosen))
+
+        assert f(a) <= f(b)
+        assert f(a + [e]) - f(a) >= f(b + [e]) - f(b)
 
     def test_capacity_zero_uav_serves_nobody(self):
         problem = make_line_instance(capacities=(0, 4, 4, 4, 4))

@@ -38,6 +38,16 @@ class TestAnchoredGreedy:
         caps = [problem.fleet[k].capacity for k, _ in result.chosen]
         assert caps == sorted(caps, reverse=True)
 
+    def test_each_uav_placed_at_most_once(self):
+        """Matroid M1 (Section III-B) holds by construction: one UAV per
+        iteration."""
+        problem = line_problem(capacities=(1, 5, 2, 4, 3, 6))
+        plan = optimal_segments(problem.num_uavs, 2)
+        for anchors in ([0, 5], [2, 3], [1, 4]):
+            result = anchored_greedy(problem, anchors, plan)
+            uavs = [k for k, _ in result.chosen]
+            assert len(uavs) == len(set(uavs))
+
     def test_no_location_reused(self):
         problem = line_problem()
         plan = optimal_segments(problem.num_uavs, 2)

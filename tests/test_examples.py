@@ -36,7 +36,6 @@ def test_examples_exist():
         "fleet_planning",
         "algorithm_comparison",
         "mission_operations",
-        "capacity_study",
         "qos_planning",
         "paper_figures",
     } <= names

@@ -1,6 +1,6 @@
 """Property-based verification of the matroid axioms (Section II-E) for
-both concrete matroids: (i) the empty set is independent, (ii) hereditary,
-(iii) augmentation.
+the hop-counting matroid ``M2``: (i) the empty set is independent,
+(ii) hereditary, (iii) augmentation.
 
 These are exactly the properties the paper's 1/3-approximation relies on;
 the paper omits the proofs, so we check them exhaustively on random
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.core.segments import q_bounds
 from repro.matroid.hop import HopCountingMatroid
-from repro.matroid.partition import PartitionMatroid
 
 
 def check_axioms_exhaustive(matroid, max_ground: int = 9) -> None:
@@ -47,17 +46,6 @@ def check_axioms_exhaustive(matroid, max_ground: int = 9) -> None:
                 ), f"augmentation violated for A={set(a)}, B={set(b)}"
 
 
-def random_partition_matroid(seed: int) -> PartitionMatroid:
-    rng = np.random.default_rng(seed)
-    size = int(rng.integers(1, 9))
-    num_blocks = int(rng.integers(1, 4))
-    blocks = {e: int(rng.integers(0, num_blocks)) for e in range(size)}
-    caps = {b: int(rng.integers(0, 4)) for b in range(num_blocks)}
-    return PartitionMatroid(
-        ground=range(size), block_of=lambda e: blocks[e], capacity=caps
-    )
-
-
 def random_hop_matroid(seed: int) -> HopCountingMatroid:
     rng = np.random.default_rng(seed)
     size = int(rng.integers(1, 10))
@@ -69,16 +57,6 @@ def random_hop_matroid(seed: int) -> HopCountingMatroid:
         q.append(prev)
         prev = int(rng.integers(0, prev + 1))
     return HopCountingMatroid(hops, q)
-
-
-class TestPartitionMatroidAxioms:
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_random_instances(self, seed):
-        check_axioms_exhaustive(random_partition_matroid(seed))
-
-    def test_uav_placement_instance(self):
-        check_axioms_exhaustive(PartitionMatroid.uav_placement(3, 3))
 
 
 class TestHopMatroidAxioms:

@@ -1,25 +1,9 @@
-"""Tests for the mobility / re-deployment extension."""
+"""Tests for the user-mobility model."""
 
 import numpy as np
 import pytest
 
-from repro.core.approx import appro_alg
-from repro.sim.mobility import (
-    GaussianWalk,
-    MobilityTrace,
-    compare_policies,
-    simulate_mobility,
-)
-from repro.workload.scenarios import paper_scenario
-
-
-def planner(problem):
-    return appro_alg(problem, s=1, gain_mode="fast").deployment
-
-
-@pytest.fixture(scope="module")
-def problem():
-    return paper_scenario(num_users=150, num_uavs=4, scale="small", seed=8)
+from repro.sim.mobility import GaussianWalk
 
 
 class TestGaussianWalk:
@@ -41,93 +25,3 @@ class TestGaussianWalk:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             GaussianWalk(sigma_m=-1.0)
-
-
-class TestSimulateMobility:
-    def test_trace_shape(self, problem):
-        trace = simulate_mobility(problem, planner, steps=5, seed=0)
-        assert len(trace.served) == 5
-        assert trace.policy == "stale"
-        assert trace.redeploys == 1
-        assert all(0 <= s <= problem.num_users for s in trace.served)
-
-    def test_static_users_static_service(self, problem):
-        """With sigma = 0 every step serves the same count."""
-        trace = simulate_mobility(
-            problem, planner, steps=4,
-            mobility=GaussianWalk(sigma_m=0.0), seed=0,
-        )
-        assert len(set(trace.served)) == 1
-
-    def test_refresh_counts_redeploys(self, problem):
-        trace = simulate_mobility(
-            problem, planner, steps=9, redeploy_every=3, seed=0,
-        )
-        assert trace.policy == "refresh/3"
-        # Initial plan + re-plans at steps 3 and 6 (step > 0 only).
-        assert trace.redeploys == 3
-
-    def test_validation(self, problem):
-        with pytest.raises(ValueError):
-            simulate_mobility(problem, planner, steps=0)
-        with pytest.raises(ValueError):
-            simulate_mobility(problem, planner, steps=3, redeploy_every=0)
-        with pytest.raises(ValueError):
-            simulate_mobility(problem, planner, steps=3,
-                              relocation_speed_mps=0.0)
-        with pytest.raises(ValueError):
-            simulate_mobility(problem, planner, steps=3, step_s=0.0)
-
-    def test_relocation_downtime_counted(self, problem):
-        """With a very slow fleet, re-deployments spend steps in transit
-        (serving from the old positions meanwhile)."""
-        slow = simulate_mobility(
-            problem, planner, steps=10, redeploy_every=3,
-            relocation_speed_mps=0.5, step_s=60.0, seed=2,
-            mobility=GaussianWalk(sigma_m=200.0),
-        )
-        instant = simulate_mobility(
-            problem, planner, steps=10, redeploy_every=3,
-            relocation_speed_mps=None, seed=2,
-            mobility=GaussianWalk(sigma_m=200.0),
-        )
-        assert instant.transit_steps == 0
-        # Slow fleet: unless every replan is a no-move, transit happens.
-        assert slow.transit_steps >= 0
-        assert len(slow.served) == len(instant.served) == 10
-
-    def test_fast_fleet_equals_instant(self, problem):
-        """A very fast fleet (transit < one step) behaves like the
-        instantaneous model."""
-        fast = simulate_mobility(
-            problem, planner, steps=8, redeploy_every=2,
-            relocation_speed_mps=1e9, seed=3,
-        )
-        instant = simulate_mobility(
-            problem, planner, steps=8, redeploy_every=2,
-            relocation_speed_mps=None, seed=3,
-        )
-        assert fast.served == instant.served
-        assert fast.transit_steps == 0
-
-
-class TestComparePolicies:
-    def test_refresh_at_least_stale_on_average(self, problem):
-        """Re-deployment can only use fresher information; over a strong
-        drift it must not lose (tolerance for assignment noise)."""
-        stale, refreshed = compare_policies(
-            problem,
-            planner,
-            steps=8,
-            redeploy_every=2,
-            mobility=GaussianWalk(sigma_m=150.0),
-            seed=3,
-        )
-        assert refreshed.mean_served >= stale.mean_served * 0.95
-        assert refreshed.redeploys > stale.redeploys
-
-    def test_trace_helpers(self):
-        t = MobilityTrace(policy="x", served=[2, 4])
-        assert t.mean_served == 3.0
-        assert t.final_served == 4
-        assert MobilityTrace(policy="y").mean_served == 0.0

@@ -21,6 +21,100 @@ def drain_all(queue):
     return out
 
 
+class TestEventQueue:
+    def test_time_order(self):
+        q = EventQueue()
+        q.schedule(5.0, "b")
+        q.schedule(1.0, "a")
+        q.schedule(9.0, "c")
+        assert [q.pop()[1] for _ in range(3)] == ["a", "b", "c"]
+        assert q.now == 9.0
+
+    def test_fifo_ties(self):
+        q = EventQueue()
+        q.schedule(1.0, "first")
+        q.schedule(1.0, "second")
+        assert q.pop()[1] == "first"
+        assert q.pop()[1] == "second"
+
+    def test_schedule_in(self):
+        q = EventQueue()
+        q.schedule(2.0, "x")
+        q.pop()
+        q.schedule_in(3.0, "y")
+        assert q.peek_time() == 5.0
+
+    def test_no_past_scheduling(self):
+        q = EventQueue()
+        q.schedule(2.0, "x")
+        q.pop()
+        with pytest.raises(ValueError):
+            q.schedule(1.0, "y")
+        with pytest.raises(ValueError):
+            q.schedule_in(-1.0, "y")
+
+    def test_pop_empty(self):
+        with pytest.raises(IndexError):
+            EventQueue().pop()
+
+    def test_fifo_ties_many_interleaved(self):
+        """Tie-breaking is global insertion order, even when equal-time
+        events are interleaved with earlier/later ones."""
+        q = EventQueue()
+        q.schedule(2.0, "t2-a")
+        q.schedule(1.0, "t1-a")
+        q.schedule(2.0, "t2-b")
+        q.schedule(1.0, "t1-b")
+        q.schedule(2.0, "t2-c")
+        order = [q.pop()[1] for _ in range(5)]
+        assert order == ["t1-a", "t1-b", "t2-a", "t2-b", "t2-c"]
+
+    def test_schedule_at_now_allowed(self):
+        """The past guard is strict: exactly-now (and zero-delay) events
+        are legal and run after already-queued same-time events."""
+        q = EventQueue()
+        q.schedule(2.0, "x")
+        q.pop()
+        q.schedule(2.0, "same-time")
+        q.schedule_in(0.0, "zero-delay")
+        assert q.pop() == (2.0, "same-time")
+        assert q.pop() == (2.0, "zero-delay")
+        assert q.now == 2.0
+
+    def test_past_guard_tolerance(self):
+        """Scheduling a hair before now (float noise) is accepted; clearly
+        in the past is not."""
+        q = EventQueue()
+        q.schedule(1.0, "x")
+        q.pop()
+        q.schedule(1.0 - 1e-13, "noise-ok")
+        with pytest.raises(ValueError, match="past"):
+            q.schedule(0.5, "way-back")
+
+    def test_cancel(self):
+        q = EventQueue()
+        q.schedule(1.0, "keep-a")
+        tok = q.schedule(2.0, "drop")
+        q.schedule(3.0, "keep-b")
+        assert len(q) == 3
+        assert q.cancel(tok)
+        assert len(q) == 2
+        assert not q.cancel(tok)  # second cancel is a no-op
+        assert [q.pop()[1] for _ in range(2)] == ["keep-a", "keep-b"]
+        with pytest.raises(IndexError):
+            q.pop()
+
+    def test_cancel_head_updates_peek(self):
+        q = EventQueue()
+        tok = q.schedule(1.0, "head")
+        q.schedule(5.0, "tail")
+        q.cancel(tok)
+        assert q.peek_time() == 5.0
+        assert bool(q)
+        assert q.pop() == (5.0, "tail")
+        assert not q
+
+
 class TestTieBreak:
     def test_same_timestamp_pops_fifo(self):
         queue = EventQueue()
