@@ -8,34 +8,57 @@ pair scans into O(n + m * hits) in practice.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from repro.geometry.point import Point2D, Point3D
+
+
+def group_by_key(keys: "np.ndarray") -> tuple:
+    """Group the rows of an ``(n, 2)`` integer key array.
+
+    Returns ``(order, bounds)``: ``order`` is the stable lexicographic
+    sort of the rows by ``(kx, ky)``, and group ``g`` is
+    ``order[bounds[g]:bounds[g + 1]]`` — its row indices, ascending.
+    ``bounds`` is a list of ``num_groups + 1`` offsets.
+    """
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    sorted_keys = keys[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)
+    return order, np.append(np.flatnonzero(starts), len(order)).tolist()
 
 
 class SpatialHash:
     """Uniform-grid spatial hash over 2-D ground positions.
 
-    Points are bucketed by ``floor(coord / cell_size)``; a radius query scans
-    only the buckets overlapping the query disc's bounding square and then
-    filters by exact distance.
+    Built from an ``(n, 2)`` array of ``(x, y)`` coordinates.  Points are
+    bucketed by ``floor(coord / cell_size)``; a radius query scans only
+    the buckets overlapping the query disc's bounding square and then
+    filters by exact distance.  Hits come back bucket by bucket (in
+    ``(kx, ky)`` order), ascending within a bucket.
     """
 
-    def __init__(self, points: Sequence[Point2D], cell_size: float) -> None:
+    def __init__(self, xy: "np.ndarray", cell_size: float) -> None:
         if cell_size <= 0:
             raise ValueError(f"cell_size must be positive, got {cell_size}")
         self._cell_size = cell_size
-        self._points = list(points)
-        self._buckets: dict = defaultdict(list)
-        for i, p in enumerate(self._points):
-            self._buckets[self._key(p.x, p.y)].append(i)
+        self._xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        keys = np.floor(self._xy / cell_size).astype(np.int64)
+        order, bounds = group_by_key(keys)
+        self._buckets: dict = {
+            (kx, ky): order[start:end]
+            for (kx, ky), start, end in zip(
+                keys[order[bounds[:-1]]].tolist(), bounds[:-1], bounds[1:]
+            )
+        }
 
     def _key(self, x: float, y: float) -> tuple:
         return (math.floor(x / self._cell_size), math.floor(y / self._cell_size))
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._xy)
 
     def query_disc(self, center: Point2D, radius: float) -> list:
         """Indices of stored points within ``radius`` of ``center``."""
@@ -43,20 +66,18 @@ class SpatialHash:
             raise ValueError(f"radius must be non-negative, got {radius}")
         cx0, cy0 = self._key(center.x - radius, center.y - radius)
         cx1, cy1 = self._key(center.x + radius, center.y + radius)
-        r2 = radius * radius
-        hits = []
-        for cx in range(cx0, cx1 + 1):
-            for cy in range(cy0, cy1 + 1):
-                bucket = self._buckets.get((cx, cy))
-                if not bucket:
-                    continue
-                for i in bucket:
-                    p = self._points[i]
-                    dx = p.x - center.x
-                    dy = p.y - center.y
-                    if dx * dx + dy * dy <= r2:
-                        hits.append(i)
-        return hits
+        runs = [
+            bucket
+            for cx in range(cx0, cx1 + 1)
+            for cy in range(cy0, cy1 + 1)
+            if (bucket := self._buckets.get((cx, cy))) is not None
+        ]
+        if not runs:
+            return []
+        idx = np.concatenate(runs)
+        dx = self._xy[idx, 0] - center.x
+        dy = self._xy[idx, 1] - center.y
+        return idx[dx * dx + dy * dy <= radius * radius].tolist()
 
 
 class Grid:
@@ -69,7 +90,9 @@ class Grid:
 
     def __init__(self, locations: Sequence[Point3D], cell_size: float) -> None:
         self._locations = list(locations)
-        self._hash = SpatialHash([p.ground() for p in self._locations], cell_size)
+        self._hash = SpatialHash(
+            [[p.x, p.y] for p in self._locations], cell_size
+        )
 
     def __len__(self) -> int:
         return len(self._locations)

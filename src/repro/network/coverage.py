@@ -79,8 +79,7 @@ class CoverageGraph:
             [u.min_rate_bps for u in self.users], dtype=float
         )
         self._user_hash = SpatialHash(
-            [u.ground for u in self.users],
-            cell_size=max(self.uav_range_m, 1.0),
+            self._user_xy, cell_size=max(self.uav_range_m, 1.0),
         ) if self.users else None
 
     def _build_location_graph(self) -> Graph:
@@ -88,7 +87,7 @@ class CoverageGraph:
         if not self.locations:
             return graph
         loc_hash = SpatialHash(
-            [p.ground() for p in self.locations], cell_size=self.uav_range_m
+            [[p.x, p.y] for p in self.locations], cell_size=self.uav_range_m
         )
         for j, loc in enumerate(self.locations):
             for k in loc_hash.query_disc(loc.ground(), self.uav_range_m):

@@ -134,8 +134,9 @@ class ScenarioSpec:
     #: How far each tile's candidate locations reach past its core bounds.
     tile_overlap_m: float = 0.0
     #: Internal: when set, :meth:`build` yields that single carved tile's
-    #: sub-problem instead of the full scenario (how the tiled driver feeds
-    #: per-tile specs through the batch runner unchanged).
+    #: sub-problem instead of the full scenario.  The tiled driver names
+    #: its per-tile runs with it; the tests use the build as the carve's
+    #: oracle.
     tile_index: "int | None" = None
 
     # -- schema validation ---------------------------------------------------
@@ -300,9 +301,11 @@ class ScenarioSpec:
 
         Aggregation and tile carving are part of the build: a spec with
         ``aggregation="cells"`` yields a demand-cell problem, and one with
-        ``tile_index`` set yields that carved tile's sub-problem — which is
-        how :func:`repro.scenario.tiling.solve_tiled` feeds per-tile specs
-        through the batch runner without the runner knowing about tiles.
+        ``tile_index`` set yields that carved tile's sub-problem, rebuilt
+        and re-carved from scratch.  :func:`repro.scenario.tiling.solve_tiled`
+        does not take that route (it carves the global problem once and
+        injects each tile's problem into the pipeline); the tile build is
+        the independent oracle the tests hold the one-carve path to.
         """
         problem = build_scenario(self.to_config(), self.seed)
         if self.aggregation == "cells":

@@ -4,12 +4,13 @@ tile independently, stitch the pieces into one connected deployment.
 The tiled driver is the second half of the million-user scaling layer
 (:mod:`repro.workload.aggregate` is the first): a ``ScenarioSpec`` with a
 ``tiles="NxM"`` grid routes here from the pipeline, the global (possibly
-demand-cell) problem is carved into per-tile sub-problems by
-:func:`carve_tiles`, and each tile becomes an ordinary spec with
-``tile_index`` set — :meth:`ScenarioSpec.build` reproduces the exact same
-carve, so the tiles run through the unmodified
-:class:`~repro.scenario.batch.BatchRunner` (per-group problem + context
-reuse) like any other batch.
+demand-cell) problem is built once and carved into per-tile sub-problems
+by one :func:`carve_tiles` call, and each tile's carved problem runs
+through the caller's :class:`~repro.scenario.pipeline.SolvePipeline`
+under its own spec (``tile_index`` set, so records name the tile).  The
+population is generated and aggregated exactly once per tiled solve.
+:meth:`ScenarioSpec.build` with ``tile_index`` still reproduces the same
+carve from scratch; the tests use it as the oracle for the carve.
 
 Carving is a pure function of ``(problem, grid, overlap)``:
 
@@ -167,10 +168,12 @@ def carve_tiles(
 ) -> list:
     """Carve ``problem`` into an ``nx * ny`` list of :class:`TileSlice`.
 
-    Pure and deterministic in its arguments — :meth:`ScenarioSpec.build`
-    (for one ``tile_index``) and :func:`solve_tiled` (for all of them)
-    call it independently and must agree.  A ``(1, 1)`` grid returns the
-    original problem object itself (identity carve).
+    Pure and deterministic in its arguments.  :func:`solve_tiled` calls
+    it once on the global problem and solves every tile from the result;
+    :meth:`ScenarioSpec.build` (for one ``tile_index``) rebuilds and
+    re-carves from scratch, and the tests pin the two to agree.  A
+    ``(1, 1)`` grid returns the original problem object itself (identity
+    carve).
     """
     nx, ny = int(grid[0]), int(grid[1])
     if nx < 1 or ny < 1:
@@ -260,7 +263,7 @@ def carve_tiles(
     return tiles
 
 
-def _stitch_placements(tiles: list, items: list) -> dict:
+def _stitch_placements(tiles: list, states: list) -> dict:
     """Union per-tile placements back into global indices.
 
     Fleet slices are disjoint by construction, so UAV keys never clash;
@@ -269,11 +272,11 @@ def _stitch_placements(tiles: list, items: list) -> dict:
     """
     placements: dict = {}
     used_locations: set = set()
-    for tile, item in zip(tiles, items):
-        if item.deployment is None:
+    for tile, state in zip(tiles, states):
+        if state.deployment is None:
             continue
-        for k_local in sorted(item.deployment.placements):
-            loc = tile.location_map[item.deployment.placements[k_local]]
+        for k_local in sorted(state.deployment.placements):
+            loc = tile.location_map[state.deployment.placements[k_local]]
             if loc in used_locations:
                 obs.counter_inc("tiling.location_clashes")
                 continue
@@ -388,7 +391,10 @@ def solve_tiled(
     registry: "object | None" = None,
     strict: bool = True,
 ):
-    """Solve a ``tiles="NxM"`` spec: carve, batch-solve, stitch, assign.
+    """Solve a ``tiles="NxM"`` spec: build, carve, solve, stitch, assign.
+
+    The global problem is built and carved once; each solvable tile's
+    carved problem is injected into one :class:`SolvePipeline` run.
 
     Returns a :class:`~repro.scenario.pipeline.PipelineState` whose
     ``problem`` is the **global** problem and whose ``deployment`` is the
@@ -397,7 +403,6 @@ def solve_tiled(
     report gains ``tiles`` / ``tiles_solved`` / ``tiles_empty`` /
     ``relays_added`` / ``degraded`` keys.
     """
-    from repro.scenario.batch import BatchRunner
     from repro.scenario.pipeline import (
         PipelineState,
         SolvePipeline,
@@ -421,23 +426,21 @@ def solve_tiled(
     obs.counter_inc("tiling.tiles", len(tiles))
     obs.counter_inc("tiling.tiles_empty", len(tiles) - len(solvable))
 
-    tile_specs = [
-        spec.with_overrides(
-            name=f"{spec.name}/tile{tile.index}", tile_index=tile.index,
-        )
-        for tile in solvable
-    ]
-    with obs.span("tiling.solve", scenario=spec.name, tiles=len(tile_specs)):
-        runner = BatchRunner(
-            pipeline=SolvePipeline(registry=registry, strict=strict)
-        )
-        batch = runner.run(tile_specs) if tile_specs else None
+    pipeline = SolvePipeline(registry=registry, strict=strict)
+    with obs.span("tiling.solve", scenario=spec.name, tiles=len(solvable)):
+        results = [
+            pipeline.run(
+                spec.with_overrides(
+                    name=f"{spec.name}/tile{tile.index}",
+                    tile_index=tile.index,
+                ),
+                problem=tile.problem,
+            )
+            for tile in solvable
+        ]
 
     with obs.span("tiling.stitch", scenario=spec.name):
-        placements = (
-            _stitch_placements(solvable, list(batch.items))
-            if batch is not None else {}
-        )
+        placements = _stitch_placements(solvable, results)
         placements, relays_added, degraded = _repair_connectivity(
             problem, placements
         )

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.problem import ProblemInstance
+from repro.geometry.grid import group_by_key
 from repro.geometry.point import Point3D
 from repro.network.coverage import CoverageGraph
 from repro.network.uav import UAV
@@ -84,45 +85,46 @@ class DemandCell:
             )
 
 
-def aggregate_users(users: list, cell_size_m: float) -> list:
+def aggregate_users(
+    xy: "np.ndarray", min_rate: "np.ndarray", cell_size_m: float
+) -> list:
     """Bin users into a square grid of ``cell_size_m`` demand cells.
 
-    Cells are ordered by grid key (lexicographic on the integer bin
-    coordinates), so the output is a deterministic function of the user
-    list.  Empty bins produce no cell; ``sum(c.demand) == len(users)``.
+    ``xy`` is the users' ``(n, 2)`` ground positions and ``min_rate``
+    their aligned minimum rates — a coverage graph's ``_user_xy`` and
+    ``_user_min_rate``, so no per-user object is walked.  Cells are
+    ordered by grid key (lexicographic on the integer bin coordinates),
+    so the output is a deterministic function of the arrays.  Empty bins
+    produce no cell; ``sum(c.demand) == n``.
     """
     if cell_size_m <= 0:
         raise ValueError(f"cell_size_m must be positive, got {cell_size_m}")
-    if not users:
+    if not len(xy):
         return []
-    xy = np.array(
-        [[u.position.x, u.position.y] for u in users], dtype=float
-    ).reshape(len(users), 2)
-    rates = np.array([u.min_rate_bps for u in users], dtype=float)
     keys = np.floor_divide(xy, float(cell_size_m)).astype(np.int64)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    num_cells = len(uniq)
+    order, bounds = group_by_key(keys)
+    num_cells = len(bounds) - 1
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.repeat(np.arange(num_cells), np.diff(bounds))
     counts = np.bincount(inverse, minlength=num_cells)
     cx = np.bincount(inverse, weights=xy[:, 0], minlength=num_cells) / counts
     cy = np.bincount(inverse, weights=xy[:, 1], minlength=num_cells) / counts
     spread = np.hypot(xy[:, 0] - cx[inverse], xy[:, 1] - cy[inverse])
     radius = np.zeros(num_cells, dtype=float)
     np.maximum.at(radius, inverse, spread)
-    min_rate = np.zeros(num_cells, dtype=float)
-    np.maximum.at(min_rate, inverse, rates)
-    order = np.argsort(inverse, kind="stable")
-    starts = np.searchsorted(inverse[order], np.arange(num_cells))
-    bounds = np.append(starts, len(order))
-    cells = []
-    for c in range(num_cells):
-        members = tuple(int(u) for u in order[bounds[c]:bounds[c + 1]])
-        cells.append(DemandCell(
-            index=c, x=float(cx[c]), y=float(cy[c]),
-            radius_m=float(radius[c]), min_rate_bps=float(min_rate[c]),
-            demand=int(counts[c]), members=members,
+    rate = np.zeros(num_cells, dtype=float)
+    np.maximum.at(rate, inverse, min_rate)
+    members = order.tolist()
+    return [
+        DemandCell(
+            index=c, x=x, y=y, radius_m=r, min_rate_bps=m, demand=n,
+            members=tuple(members[bounds[c]:bounds[c + 1]]),
+        )
+        for c, (x, y, r, m, n) in enumerate(zip(
+            cx.tolist(), cy.tolist(), radius.tolist(), rate.tolist(),
+            counts.tolist(),
         ))
-    return cells
+    ]
 
 
 def singleton_cells(users: list) -> list:
@@ -245,7 +247,9 @@ def aggregate_problem(
     graph = problem.graph
     cells = (
         singleton_cells(graph.users) if cell_size_m is None
-        else aggregate_users(graph.users, cell_size_m)
+        else aggregate_users(
+            graph._user_xy, graph._user_min_rate, cell_size_m
+        )
     )
     cell_graph = CellCoverageGraph(
         cells=cells,

@@ -16,6 +16,11 @@ def random_points(rng, count, extent=1000.0):
     ]
 
 
+def coords(points):
+    """The ``(n, 2)`` coordinate array a :class:`SpatialHash` takes."""
+    return np.array([[p.x, p.y] for p in points], dtype=float).reshape(-1, 2)
+
+
 class TestSpatialHash:
     def test_empty(self):
         sh = SpatialHash([], cell_size=10.0)
@@ -26,19 +31,19 @@ class TestSpatialHash:
             SpatialHash([], cell_size=0)
 
     def test_rejects_negative_radius(self):
-        sh = SpatialHash([Point2D(0, 0)], cell_size=10.0)
+        sh = SpatialHash(np.zeros((1, 2)), cell_size=10.0)
         with pytest.raises(ValueError, match="non-negative"):
             sh.query_disc(Point2D(0, 0), -1.0)
 
     def test_exact_boundary_included(self):
-        sh = SpatialHash([Point2D(10, 0)], cell_size=5.0)
+        sh = SpatialHash(np.array([[10.0, 0.0]]), cell_size=5.0)
         assert sh.query_disc(Point2D(0, 0), 10.0) == [0]
         assert sh.query_disc(Point2D(0, 0), 9.999) == []
 
     def test_matches_naive_scan(self):
         rng = np.random.default_rng(0)
         points = random_points(rng, 200)
-        sh = SpatialHash(points, cell_size=97.0)
+        sh = SpatialHash(coords(points), cell_size=97.0)
         for _ in range(20):
             cx, cy = rng.uniform(0, 1000, size=2)
             radius = float(rng.uniform(0, 400))
@@ -54,7 +59,7 @@ class TestSpatialHash:
     def test_hash_equals_naive_property(self, count, cell, seed):
         rng = np.random.default_rng(seed)
         points = random_points(rng, count)
-        sh = SpatialHash(points, cell_size=cell)
+        sh = SpatialHash(coords(points), cell_size=cell)
         center = Point2D(500.0, 500.0)
         radius = float(rng.uniform(0, 600))
         expected = sorted(

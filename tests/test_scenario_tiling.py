@@ -10,20 +10,35 @@ The tiling layer's two structural promises:
   comes from one global max flow — so no user or demand unit can ever be
   double-counted, which the fuzz pass checks on per-user *and*
   demand-cell variants over several grids and overlap widths.
+
+A tiled solve builds the population once and solves every tile from the
+one global carve.  Two oracles hold that path to the rebuild-per-tile
+route: a ``tile_index`` spec's own ``build()`` must reproduce each carved
+tile, and running those specs through the :class:`BatchRunner` then
+stitching must reproduce the tiled deployment.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+import repro.scenario.spec as spec_module
 from repro.network.deployment import CellDeployment, Deployment
 from repro.network.validate import (
     validate_cell_deployment,
     validate_deployment,
 )
+from repro.scenario.batch import BatchRunner
 from repro.scenario.pipeline import SolvePipeline
 from repro.scenario.spec import ScenarioSpec, SpecError
-from repro.scenario.tiling import carve_tiles, solve_tiled
+from repro.scenario.tiling import (
+    _global_assignment,
+    _repair_connectivity,
+    _stitch_placements,
+    carve_tiles,
+    solve_tiled,
+)
 from repro.workload.scenarios import paper_scenario
 
 BASE = ScenarioSpec(
@@ -123,6 +138,101 @@ class TestTiledEquivalence:
         assert tiled.record.served == plain.record.served
         assert tiled.deployment.placements == plain.deployment.placements
         assert tiled.deployment.assignment == plain.deployment.assignment
+
+
+#: Per-user and demand-cell variants of a tiled spec for the carve oracles.
+VARIANTS = {
+    "users": BASE.with_overrides(tiles="2x2", tile_overlap_m=300.0),
+    "cells": BASE.with_overrides(
+        tiles="2x2", tile_overlap_m=300.0, aggregation="cells",
+        cell_size_m=250.0,
+    ),
+}
+
+
+def _assert_same_problem(built, carved):
+    """Node positions, rates and demands, locations and fleet agree."""
+    g_built, g_carved = built.graph, carved.graph
+    assert type(g_built) is type(g_carved)
+    np.testing.assert_array_equal(g_built._user_xy, g_carved._user_xy)
+    np.testing.assert_array_equal(
+        g_built._user_min_rate, g_carved._user_min_rate
+    )
+    if hasattr(g_carved, "cells"):
+        np.testing.assert_array_equal(
+            g_built.cell_demands, g_carved.cell_demands
+        )
+        assert g_built.cells == g_carved.cells
+    assert g_built.locations == g_carved.locations
+    assert g_built.noise_dbm == g_carved.noise_dbm
+    assert built.fleet == carved.fleet
+
+
+def _batch_oracle(spec):
+    """The rebuild-per-tile route: every ``tile_index`` spec builds its own
+    tile through the :class:`BatchRunner`, then the same stitch, seam
+    repair and global assignment as :func:`solve_tiled`."""
+    problem = spec.with_overrides(tiles=None, tile_overlap_m=0.0).build()
+    tiles = carve_tiles(problem, spec.tile_grid(), spec.tile_overlap_m)
+    solvable = [tile for tile in tiles if tile.problem is not None]
+    batch = BatchRunner(pipeline=SolvePipeline()).run([
+        spec.with_overrides(
+            name=f"{spec.name}/tile{tile.index}", tile_index=tile.index,
+        )
+        for tile in solvable
+    ])
+    placements = _stitch_placements(solvable, list(batch.items))
+    placements, _, _ = _repair_connectivity(problem, placements)
+    return _global_assignment(problem, placements)
+
+
+class TestCarveOnce:
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("tiles", ["2x2", "3x2"])
+    def test_tile_build_equals_global_carve(self, variant, tiles):
+        spec = VARIANTS[variant].with_overrides(tiles=tiles)
+        problem = spec.with_overrides(tiles=None, tile_overlap_m=0.0).build()
+        carved = carve_tiles(problem, spec.tile_grid(), spec.tile_overlap_m)
+        assert len(carved) == spec.tile_grid()[0] * spec.tile_grid()[1]
+        for tile in carved:
+            tile_spec = spec.with_overrides(tile_index=tile.index)
+            if tile.problem is None:
+                with pytest.raises(SpecError, match="empty"):
+                    tile_spec.build()
+                continue
+            _assert_same_problem(tile_spec.build(), tile.problem)
+
+    @pytest.mark.timeout_guard(300)
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_tiled_solve_matches_batch_oracle(self, variant):
+        spec = VARIANTS[variant].with_overrides(
+            name=f"tiling-oracle-{variant}"
+        )
+        state = SolvePipeline().run(spec)
+        oracle = _batch_oracle(spec)
+        assert type(state.deployment) is type(oracle)
+        assert state.deployment.placements == oracle.placements
+        assert state.deployment.served_count == oracle.served_count
+        if isinstance(oracle, CellDeployment):
+            assert state.deployment.flows == oracle.flows
+        else:
+            assert state.deployment.assignment == oracle.assignment
+
+    def test_tiled_solve_builds_the_population_once(self, monkeypatch):
+        calls = []
+        build = spec_module.build_scenario
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(spec_module, "build_scenario", counting_build)
+        state = SolvePipeline().run(
+            VARIANTS["cells"].with_overrides(name="tiling-build-once")
+        )
+        assert state.ok
+        assert state.report["tiles_solved"] >= 2
+        assert len(calls) == 1
 
 
 class TestTiledFuzz:

@@ -1,6 +1,7 @@
 """Unit tests for the demand-cell aggregation layer.
 
-:func:`aggregate_users` must partition the user set deterministically;
+:func:`aggregate_users` must partition the user set deterministically,
+in grid-key order;
 every cell's padded geometry (centroid + radius, max member min-rate)
 must dominate its members so the cell coverage test is conservative;
 :func:`singleton_cells` must be the exact degenerate case the
@@ -29,10 +30,19 @@ def _random_users(n: int, extent: float, seed: int):
     return users_from_points([(float(x), float(y)) for x, y in xy])
 
 
+def _aggregate(users, cell_size_m: float):
+    """:func:`aggregate_users` over a list of :class:`User` objects."""
+    xy = np.array(
+        [[u.position.x, u.position.y] for u in users], dtype=float
+    ).reshape(len(users), 2)
+    rates = np.array([u.min_rate_bps for u in users], dtype=float)
+    return aggregate_users(xy, rates, cell_size_m)
+
+
 class TestAggregateUsers:
     def test_partition_and_demand_conservation(self):
         users = _random_users(200, 2000.0, seed=1)
-        cells = aggregate_users(users, 150.0)
+        cells = _aggregate(users, 150.0)
         seen: list = []
         for cell in cells:
             assert cell.demand == len(cell.members)
@@ -42,16 +52,16 @@ class TestAggregateUsers:
 
     def test_cells_indexed_contiguously(self):
         users = _random_users(80, 1200.0, seed=2)
-        cells = aggregate_users(users, 100.0)
+        cells = _aggregate(users, 100.0)
         assert [c.index for c in cells] == list(range(len(cells)))
 
     def test_deterministic(self):
         users = _random_users(120, 1500.0, seed=3)
-        assert aggregate_users(users, 200.0) == aggregate_users(users, 200.0)
+        assert _aggregate(users, 200.0) == _aggregate(users, 200.0)
 
     def test_radius_bounds_member_distance(self):
         users = _random_users(150, 1800.0, seed=4)
-        for cell in aggregate_users(users, 250.0):
+        for cell in _aggregate(users, 250.0):
             for i in cell.members:
                 p = users[i].position
                 d = math.hypot(p.x - cell.x, p.y - cell.y)
@@ -64,14 +74,24 @@ class TestAggregateUsers:
                     min_rate_bps=u.min_rate_bps * (1.0 + 0.01 * (i % 7)))
             for i, u in enumerate(users)
         ]
-        for cell in aggregate_users(users, 300.0):
+        for cell in _aggregate(users, 300.0):
             member_rates = [users[i].min_rate_bps for i in cell.members]
             assert cell.min_rate_bps == max(member_rates)
 
     def test_rejects_non_positive_cell_size(self):
         users = _random_users(5, 100.0, seed=6)
         with pytest.raises(ValueError):
-            aggregate_users(users, 0.0)
+            _aggregate(users, 0.0)
+
+    def test_cells_follow_grid_key_order(self):
+        rng = np.random.default_rng(8)
+        xy = rng.uniform(-900.0, 900.0, size=(300, 2))
+        cells = aggregate_users(xy, np.ones(300), 120.0)
+        bins = np.floor_divide(xy, 120.0).astype(int).tolist()
+        keys = [tuple(bins[cell.members[0]]) for cell in cells]
+        assert keys == sorted(set(keys))
+        for cell, key in zip(cells, keys):
+            assert {tuple(bins[i]) for i in cell.members} == {key}
 
 
 class TestSingletonCells:
