@@ -7,8 +7,9 @@ replaces the five siloed time loops with one discrete-event mission:
 * :class:`DynamicSpec` — a :class:`~repro.scenario.spec.ScenarioSpec`
   extended with the time dimension (churn, mobility, rotation, faults,
   epochs) plus named presets;
-* :class:`WorldState` — the single mutable world every event acts on,
-  kept in sync with a persistent working coverage graph;
+* :class:`WorldState` — the single mutable world every event acts on:
+  a lazily synced working coverage graph plus the live maximum
+  user↔UAV matching each event patches by one augmenting path;
 * :func:`run_dynamic` — the mission loop over one shared
   :class:`~repro.simnet.events.EventQueue`, with warm-started epoch
   re-solves (result-identical to cold, pinned by the oracle suite);

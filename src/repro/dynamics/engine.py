@@ -22,10 +22,20 @@ Consecutive placements become minimal-motion transitions via
 transit modelled as a delayed adoption event when the spec carries a
 relocation speed.
 
+After every event the engine observes the exact served count through
+:meth:`~repro.dynamics.world.WorldState.evaluate`, which patches the
+world's live user↔UAV matching with at most one augmenting path and
+rebuilds it with a max-flow only after a mobility step or a change of
+the active station set (see :mod:`repro.dynamics.world`).
+
 Observability: the engine sets ``dynamic.*`` gauges/counters, records
 re-solve latency histograms, and calls :func:`repro.obs.record_mark`
 after every state change so ``--timeline`` / ``--archive`` runs carry the
-full coverage-over-time curve.
+full coverage-over-time curve.  Spans split ``dynamic.run`` into
+``dynamic.build`` (the initial scenario), ``dynamic.plan`` (the initial
+solve), one ``dynamic.event`` per handled event (attribute ``kind``;
+epoch and fault re-solves nest inside as ``dynamic.resolve``) and one
+``dynamic.observe`` per observation.
 """
 
 from __future__ import annotations
@@ -169,7 +179,8 @@ class _Engine:
         self.params = _solve_params(spec, self.entry)
         self.pipeline = SolvePipeline(prebuild_context=True)
         self.policy = make_policy(spec.resolve_policy, spec.drift_threshold)
-        self.world = WorldState.from_problem(spec.build())
+        with obs.span("dynamic.build"):
+            self.world = WorldState.from_problem(spec.build())
         self.queue = EventQueue()
         self.churn_rng = ensure_rng(spec.derived_seed("churn"))
         self.mobility_rng = ensure_rng(spec.derived_seed("mobility"))
@@ -187,6 +198,7 @@ class _Engine:
         )
         self.context = None           # last epoch's SolverContext
         self.coverage_at_solve = 0.0
+        self._refresh_baseline = False
         self.rotation_tokens: list = []
         self.pending_relocate: "int | None" = None
         self.result = DynamicResult(
@@ -203,10 +215,13 @@ class _Engine:
         if not available or not world.users:
             return
         fleet_sub = [world.fleet[k] for k in available]
+        # Sync the working graph outside the timer, so warm and cold
+        # latencies both start from a current population.
+        graph = world.graph
         start = time.perf_counter()
         with obs.span("dynamic.resolve", trigger=trigger, warm=self.warm):
             if self.warm and self.context is not None:
-                problem = ProblemInstance(graph=world.graph, fleet=fleet_sub)
+                problem = ProblemInstance(graph=graph, fleet=fleet_sub)
                 context = self.context.updated(problem)
                 state = self.pipeline.solve(
                     problem, self.spec.algorithm, self.params,
@@ -217,10 +232,10 @@ class _Engine:
                 # hop matrix included (the historical per-epoch cost).
                 graph = CoverageGraph(
                     users=list(world.users),
-                    locations=world.graph.locations,
-                    uav_range_m=world.graph.uav_range_m,
-                    channel=world.graph.channel,
-                    bandwidth_hz=world.graph.bandwidth_hz,
+                    locations=graph.locations,
+                    uav_range_m=graph.uav_range_m,
+                    channel=graph.channel,
+                    bandwidth_hz=graph.bandwidth_hz,
                 )
                 problem = ProblemInstance(graph=graph, fleet=fleet_sub)
                 state = self.pipeline.solve(
@@ -361,7 +376,7 @@ class _Engine:
             raise AssertionError(f"unhandled dynamics event {kind!r}")
 
     def _maybe_resolve(self, trigger: str, now: float) -> None:
-        served = self.world.evaluate(now).served_count
+        served = self.world.evaluate(now)
         coverage = self.world.coverage_fraction(served)
         if self.policy.should_resolve(
             trigger, coverage, self.coverage_at_solve
@@ -373,7 +388,6 @@ class _Engine:
     def run(self) -> DynamicResult:
         spec, world, queue = self.spec, self.world, self.queue
         wall_start = time.perf_counter()
-        self._refresh_baseline = False
 
         with obs.span("dynamic.plan"):
             self.resolve("initial", 0.0)
@@ -402,7 +416,8 @@ class _Engine:
             ).inject(queue)
 
         for now, payload in queue.drain(until=spec.duration_s):
-            self.handle(now, payload)
+            with obs.span("dynamic.event", kind=payload[0]):
+                self.handle(now, payload)
             self._observe(now)
 
         self._observe(spec.duration_s)
@@ -420,15 +435,16 @@ class _Engine:
 
     def _observe(self, now: float) -> None:
         """Evaluate, record the timeline point, update gauges."""
-        served = self.world.evaluate(now).served_count
-        self.result.timeline.append((now, served, self.world.num_active))
-        if self._refresh_baseline:
-            self.coverage_at_solve = self.world.coverage_fraction(served)
-            self._refresh_baseline = False
-        obs.gauge_set("dynamic.clock_s", now)
-        obs.gauge_set("dynamic.served", served)
-        obs.gauge_set("dynamic.active_users", self.world.num_active)
-        obs.record_mark()
+        with obs.span("dynamic.observe"):
+            served = self.world.evaluate(now)
+            self.result.timeline.append((now, served, self.world.num_active))
+            if self._refresh_baseline:
+                self.coverage_at_solve = self.world.coverage_fraction(served)
+                self._refresh_baseline = False
+            obs.gauge_set("dynamic.clock_s", now)
+            obs.gauge_set("dynamic.served", served)
+            obs.gauge_set("dynamic.active_users", self.world.num_active)
+            obs.record_mark()
 
 
 @obs.traced("dynamic.run")

@@ -187,6 +187,35 @@ class CoverageGraph:
         coverage sets."""
         return self._radio_key(uav)
 
+    def _covered_mask(
+        self, xy: np.ndarray, min_rate: np.ndarray, loc: Point3D, uav: UAV
+    ) -> np.ndarray:
+        """The per-(user, location, radio) coverage test, vectorised over
+        the ``(k, 2)`` ground positions ``xy``: within ``R_user^k`` in 3-D
+        and rate >= the user's ``min_rate``.  The one formula behind both
+        :meth:`coverable_users` and :meth:`user_covered`."""
+        horiz = np.hypot(xy[:, 0] - loc.x, xy[:, 1] - loc.y)
+        dist3 = np.hypot(horiz, loc.z)
+        covered = dist3 <= uav.user_range_m
+        if not covered.any():
+            return covered
+        pl = self.channel.pathloss_vector_db(horiz[covered], loc.z)
+        snr_db_arr = uav.tx_power_dbm + uav.antenna_gain_db - pl - self.noise_dbm
+        rates = self.bandwidth_hz * np.log2(1.0 + 10.0 ** (snr_db_arr / 10.0))
+        covered[covered] = rates >= min_rate[covered]
+        return covered
+
+    def user_covered(self, user: User, loc_index: int, uav: UAV) -> bool:
+        """Whether ``uav`` at ``loc_index`` could serve ``user`` — who need
+        not be in this graph's population (an arriving user is tested
+        before the graph is synced)."""
+        covered = self._covered_mask(
+            np.array([[user.position.x, user.position.y]], dtype=float),
+            np.array([user.min_rate_bps], dtype=float),
+            self.locations[loc_index], uav,
+        )
+        return bool(covered[0])
+
     def coverable_users(self, loc_index: int, uav: UAV) -> list:
         """Users the given UAV could serve from ``loc_index``: within
         ``R_user^k`` and with rate >= their minimum requirement.  Cached per
@@ -207,20 +236,9 @@ class CoverageGraph:
             self._coverage_cache[key] = []
             return []
         idx = np.array(sorted(candidates), dtype=int)
-        dx = self._user_xy[idx, 0] - loc.x
-        dy = self._user_xy[idx, 1] - loc.y
-        horiz = np.hypot(dx, dy)
-        dist3 = np.hypot(horiz, loc.z)
-        in_range = dist3 <= uav.user_range_m
-        idx = idx[in_range]
-        if idx.size == 0:
-            self._coverage_cache[key] = []
-            return []
-        horiz = horiz[in_range]
-        pl = self.channel.pathloss_vector_db(horiz, loc.z)
-        snr_db_arr = uav.tx_power_dbm + uav.antenna_gain_db - pl - self.noise_dbm
-        rates = self.bandwidth_hz * np.log2(1.0 + 10.0 ** (snr_db_arr / 10.0))
-        ok = rates >= self._user_min_rate[idx]
+        ok = self._covered_mask(
+            self._user_xy[idx], self._user_min_rate[idx], loc, uav
+        )
         covered = [int(i) for i in idx[ok]]
         self._coverage_cache[key] = covered
         return covered
