@@ -73,7 +73,7 @@ class SolverContext:
         candidate locations (and hence hop structure) did not.
 
         Reuses this context's hop matrix verbatim — skipping the
-        one-BFS-per-location all-pairs build, the expensive half of a cold
+        all-pairs hop build, the expensive half of a cold
         :meth:`from_problem` — and recomputes only the user-dependent
         coverage bitsets/counts through the exact same code path, so the
         result is bit-identical to a cold build on an equivalent graph.

@@ -24,6 +24,7 @@ from repro.geometry.point import Point3D
 from repro.graphs.adjacency import Graph
 from repro.graphs.bfs import (
     UNREACHABLE,
+    all_pairs_hops,
     bfs_hops,
     is_connected,
     multi_source_hops,
@@ -35,11 +36,19 @@ from repro.util.bits import pack_indices, popcount
 
 
 class CoverageGraph:
-    """Users, candidate locations, radio model and all derived structure."""
+    """Users, candidate locations, radio model and all derived structure.
+
+    ``users`` is the ground population, either as a list of
+    :class:`~repro.network.users.User` or as the ``(xy, min_rate)`` array
+    pair the workload generators return (``(n, 2)`` ground positions and
+    the aligned ``(n,)`` minimum rates).  Either way the graph keeps the
+    population as those two arrays; :attr:`users` is a view built from
+    them on first access.
+    """
 
     def __init__(
         self,
-        users: list,
+        users: "list | tuple",
         locations: list,
         uav_range_m: float,
         channel: "AirToGroundChannel | None" = None,
@@ -69,18 +78,52 @@ class CoverageGraph:
 
     # -- construction -------------------------------------------------------
 
-    def _install_users(self, users: list) -> None:
-        """Set the user population and its derived arrays/spatial hash."""
-        self.users: list = list(users)
-        self._user_xy = np.array(
-            [[u.position.x, u.position.y] for u in self.users], dtype=float
-        ).reshape(len(self.users), 2)
-        self._user_min_rate = np.array(
-            [u.min_rate_bps for u in self.users], dtype=float
+    def _install_users(self, users: "list | tuple") -> None:
+        """Install a population given either way (see the class doc); a
+        :class:`User` list is converted to arrays here and kept as the
+        :attr:`users` view."""
+        if isinstance(users, tuple) and len(users) == 2 and isinstance(
+            users[0], np.ndarray
+        ):
+            self._install_arrays(*users)
+            return
+        users = list(users)
+        self._install_arrays(
+            np.array(
+                [[u.position.x, u.position.y] for u in users], dtype=float
+            ).reshape(len(users), 2),
+            np.array([u.min_rate_bps for u in users], dtype=float),
         )
+        self._users = users
+
+    def _install_arrays(self, xy: np.ndarray, min_rate: np.ndarray) -> None:
+        """The one install path: the population's ``(n, 2)`` ground
+        positions and ``(n,)`` minimum rates, and their spatial hash."""
+        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        min_rate = np.asarray(min_rate, dtype=float)
+        if min_rate.shape != (len(xy),):
+            raise ValueError(
+                f"min_rate shape {min_rate.shape} != ({len(xy)},)"
+            )
+        self._user_xy = xy
+        self._user_min_rate = min_rate
+        self._users: "list | None" = None
         self._user_hash = SpatialHash(
-            self._user_xy, cell_size=max(self.uav_range_m, 1.0),
-        ) if self.users else None
+            xy, cell_size=max(self.uav_range_m, 1.0),
+        ) if len(xy) else None
+
+    @property
+    def users(self) -> list:
+        """The population as :class:`User` objects, aligned with the
+        arrays.  Built on first access; solving reads only the arrays."""
+        if self._users is None:
+            self._users = [
+                User(Point3D(x, y, 0.0), rate)
+                for (x, y), rate in zip(
+                    self._user_xy.tolist(), self._user_min_rate.tolist()
+                )
+            ]
+        return self._users
 
     def _build_location_graph(self) -> Graph:
         graph = Graph(len(self.locations))
@@ -101,10 +144,11 @@ class CoverageGraph:
     # candidate locations — and therefore the location graph, the hop
     # matrix and the Steiner memo — stay fixed.  These methods update only
     # the user-dependent half of the structure, so an epoch re-solve skips
-    # the one-BFS-per-location hop rebuild entirely.
+    # the hop-matrix rebuild entirely.
 
-    def replace_users(self, users: list) -> None:
-        """Swap the user population in place.
+    def replace_users(self, users: "list | tuple") -> None:
+        """Swap the user population in place (given either way, see the
+        class doc).
 
         Invalidates only the user-dependent coverage cache; the location
         graph, hop matrix, hop cache and Steiner memo are untouched (they
@@ -116,26 +160,21 @@ class CoverageGraph:
     def move_users(self, xy: np.ndarray) -> None:
         """Move the existing users to new ground coordinates.
 
-        ``xy`` is an ``(n, 2)`` array aligned with ``self.users``; each
+        ``xy`` is an ``(n, 2)`` array aligned with the population; each
         user keeps its minimum-rate requirement.  Equivalent to
-        :meth:`replace_users` with rebuilt :class:`User` objects.
+        :meth:`replace_users` with the moved arrays.
         """
-        xy = np.asarray(xy, dtype=float)
-        if xy.shape != (len(self.users), 2):
+        xy = np.array(xy, dtype=float)
+        if xy.shape != (self.num_users, 2):
             raise ValueError(
-                f"xy shape {xy.shape} != ({len(self.users)}, 2)"
+                f"xy shape {xy.shape} != ({self.num_users}, 2)"
             )
-        moved = [
-            type(u)(
-                position=type(u.position)(float(x), float(y), 0.0),
-                min_rate_bps=u.min_rate_bps,
-            )
-            for u, (x, y) in zip(self.users, xy)
-        ]
-        self.replace_users(moved)
+        self._install_arrays(xy, self._user_min_rate)
+        self._coverage_cache = {}
 
-    def with_users(self, users: list) -> "CoverageGraph":
-        """A new graph over the same locations but a different user set.
+    def with_users(self, users: "list | tuple") -> "CoverageGraph":
+        """A new graph over the same locations but a different user set
+        (given either way, see the class doc).
 
         Location-derived structure (location graph, hop cache/matrix,
         Steiner memo) is *shared by reference* with ``self`` — it is
@@ -160,7 +199,7 @@ class CoverageGraph:
 
     @property
     def num_users(self) -> int:
-        return len(self.users)
+        return len(self._user_xy)
 
     @property
     def num_locations(self) -> int:
@@ -170,9 +209,9 @@ class CoverageGraph:
 
     def rate_bps(self, user_index: int, loc_index: int, uav: UAV) -> float:
         """Exact achievable rate of one user from a UAV at one location."""
-        user: User = self.users[user_index]
+        x, y = self._user_xy[user_index].tolist()
         loc: Point3D = self.locations[loc_index]
-        pl = self.channel.pathloss_db(user.position, loc)
+        pl = self.channel.pathloss_db(Point3D(x, y, 0.0), loc)
         snr = 10.0 ** (
             (uav.tx_power_dbm + uav.antenna_gain_db - pl - self.noise_dbm) / 10.0
         )
@@ -403,19 +442,17 @@ class CoverageGraph:
 
     def hop_matrix(self) -> np.ndarray:
         """The all-pairs hop matrix as an ``int16`` array (``UNREACHABLE``
-        entries are ``-1``).  Built once via one BFS per location and cached;
-        the per-run hot data of the appro_alg engine."""
+        entries are ``-1``).  Built once by a level-synchronous search from
+        every location at once and cached; the per-run hot data of the
+        appro_alg engine."""
         if self._hop_matrix is None:
-            rows = [self.hops_from(v) for v in range(self.num_locations)]
-            self._hop_matrix = np.array(rows, dtype=np.int16).reshape(
-                self.num_locations, self.num_locations
-            )
+            self._hop_matrix = all_pairs_hops(self.location_graph)
         return self._hop_matrix
 
     def warm_hops(self, matrix: np.ndarray) -> None:
         """Adopt a precomputed all-pairs hop matrix (worker processes get it
         from the shipped :class:`~repro.core.context.SolverContext` instead
-        of re-running one BFS per location)."""
+        of rebuilding it)."""
         matrix = np.asarray(matrix, dtype=np.int16)
         expected = (self.num_locations, self.num_locations)
         if matrix.shape != expected:

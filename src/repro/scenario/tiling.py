@@ -87,8 +87,10 @@ def _carve_graph(graph: CoverageGraph, node_idx: list, loc_idx: list):
             bandwidth_hz=graph.bandwidth_hz,
         )
     else:
+        idx = np.asarray(node_idx, dtype=np.int64)
         sub = CoverageGraph(
-            users=[graph.users[i] for i in node_idx], locations=locations,
+            users=(graph._user_xy[idx], graph._user_min_rate[idx]),
+            locations=locations,
             uav_range_m=graph.uav_range_m, channel=graph.channel,
             bandwidth_hz=graph.bandwidth_hz,
         )

@@ -36,10 +36,8 @@ import numpy as np
 
 from repro.core.problem import ProblemInstance
 from repro.geometry.grid import group_by_key
-from repro.geometry.point import Point3D
 from repro.network.coverage import CoverageGraph
 from repro.network.uav import UAV
-from repro.network.users import User
 
 
 @dataclass(frozen=True)
@@ -127,17 +125,18 @@ def aggregate_users(
     ]
 
 
-def singleton_cells(users: list) -> list:
+def singleton_cells(xy: "np.ndarray", min_rate: "np.ndarray") -> list:
     """One cell per user: radius 0, demand 1, centroid = exact position.
 
-    The degenerate aggregation whose solve is bit-identical to the
-    per-user path (see module docstring)."""
+    ``xy`` and ``min_rate`` are the population arrays, as for
+    :func:`aggregate_users`.  The degenerate aggregation whose solve is
+    bit-identical to the per-user path (see module docstring)."""
     return [
         DemandCell(
-            index=i, x=u.position.x, y=u.position.y, radius_m=0.0,
-            min_rate_bps=u.min_rate_bps, demand=1, members=(i,),
+            index=i, x=x, y=y, radius_m=0.0, min_rate_bps=rate, demand=1,
+            members=(i,),
         )
-        for i, u in enumerate(users)
+        for i, ((x, y), rate) in enumerate(zip(xy.tolist(), min_rate.tolist()))
     ]
 
 
@@ -145,23 +144,24 @@ class CellCoverageGraph(CoverageGraph):
     """A coverage graph whose "users" are demand cells.
 
     The node set reuses the whole :class:`CoverageGraph` machinery (the
-    spatial hash, bitset caches, hop structure) with one pseudo-user per
-    cell at the cell centroid; only the coverability test changes — it
-    pads the centroid distance by the cell radius so that *every* member
-    of a coverable cell is provably within range and rate.  With
-    singleton cells the pad is 0.0 and the test is bit-identical to the
-    base class.
+    spatial hash, bitset caches, hop structure) with one node per cell,
+    installed as the arrays of cell centroids and cell minimum rates;
+    only the coverability test changes — it pads the centroid distance
+    by the cell radius so that *every* member of a coverable cell is
+    provably within range and rate.  With singleton cells the pad is 0.0
+    and the test is bit-identical to the base class.
     """
 
     def __init__(self, cells: list, locations: list, uav_range_m: float,
                  channel=None, bandwidth_hz=None, **kwargs) -> None:
-        pseudo_users = [
-            User(Point3D(c.x, c.y, 0.0), c.min_rate_bps) for c in cells
-        ]
+        centroids = np.array(
+            [[c.x, c.y] for c in cells], dtype=float
+        ).reshape(len(cells), 2)
+        rates = np.array([c.min_rate_bps for c in cells], dtype=float)
         extra = {} if bandwidth_hz is None else {"bandwidth_hz": bandwidth_hz}
         extra.update(kwargs)
         super().__init__(
-            users=pseudo_users, locations=locations,
+            users=(centroids, rates), locations=locations,
             uav_range_m=uav_range_m, channel=channel, **extra,
         )
         self.cells: list = list(cells)
@@ -246,7 +246,8 @@ def aggregate_problem(
     """
     graph = problem.graph
     cells = (
-        singleton_cells(graph.users) if cell_size_m is None
+        singleton_cells(graph._user_xy, graph._user_min_rate)
+        if cell_size_m is None
         else aggregate_users(
             graph._user_xy, graph._user_min_rate, cell_size_m
         )

@@ -86,7 +86,7 @@ def build_scenario(
     for altitude in altitudes:
         grid = area.hovering_grid(config.grid_side_m, altitude)
         locations.extend(grid.centers)
-    users = config.workload.generate(area, config.num_users, rng)
+    population = config.workload.generate(area, config.num_users, rng)
     fleet = heterogeneous_fleet(
         config.num_uavs,
         capacity_min=config.capacity_min,
@@ -95,7 +95,7 @@ def build_scenario(
         seed=rng,
     )
     graph = CoverageGraph(
-        users=users,
+        users=population,
         locations=locations,
         uav_range_m=config.uav_range_m,
         channel=AirToGroundChannel(get_environment(config.environment)),

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.geometry.area import DisasterArea
+from repro.geometry.point import Point3D
+from repro.network.users import User
 from repro.workload.fat_tailed import FatTailedWorkload
 from repro.workload.scenarios import (
     SCALES,
@@ -16,16 +18,25 @@ from repro.workload.uniform import UniformWorkload
 AREA = DisasterArea(3000.0, 3000.0)
 
 
+def _users(population):
+    """Lift a generator's ``(xy, min_rate)`` arrays into :class:`User`\\ s."""
+    xy, rates = population
+    return [
+        User(Point3D(x, y, 0.0), rate)
+        for (x, y), rate in zip(xy.tolist(), rates.tolist())
+    ]
+
+
 class TestUniformWorkload:
     def test_count_and_bounds(self):
-        users = UniformWorkload().generate(AREA, 500, seed=0)
+        users = _users(UniformWorkload().generate(AREA, 500, seed=0))
         assert len(users) == 500
         for u in users:
             assert AREA.contains_ground(u.ground)
 
     def test_deterministic(self):
-        a = UniformWorkload().generate(AREA, 50, seed=7)
-        b = UniformWorkload().generate(AREA, 50, seed=7)
+        a = _users(UniformWorkload().generate(AREA, 50, seed=7))
+        b = _users(UniformWorkload().generate(AREA, 50, seed=7))
         assert [u.position for u in a] == [u.position for u in b]
 
     def test_rejects_negative(self):
@@ -35,15 +46,15 @@ class TestUniformWorkload:
 
 class TestFatTailedWorkload:
     def test_count_and_bounds(self):
-        users = FatTailedWorkload().generate(AREA, 1000, seed=1)
+        users = _users(FatTailedWorkload().generate(AREA, 1000, seed=1))
         assert len(users) == 1000
         for u in users:
             assert AREA.contains_ground(u.ground)
 
     def test_deterministic(self):
         w = FatTailedWorkload()
-        a = w.generate(AREA, 200, seed=5)
-        b = w.generate(AREA, 200, seed=5)
+        a = _users(w.generate(AREA, 200, seed=5))
+        b = _users(w.generate(AREA, 200, seed=5))
         assert [u.position for u in a] == [u.position for u in b]
 
     def test_fat_tail_property(self):
@@ -59,14 +70,16 @@ class TestFatTailedWorkload:
             counts.sort()
             return counts[-7:].sum() / counts.sum()
 
-        fat = FatTailedWorkload(num_hotspots=8).generate(AREA, 2000, seed=2)
-        uni = UniformWorkload().generate(AREA, 2000, seed=2)
+        fat = _users(
+            FatTailedWorkload(num_hotspots=8).generate(AREA, 2000, seed=2)
+        )
+        uni = _users(UniformWorkload().generate(AREA, 2000, seed=2))
         assert top_quintile_share(fat) > top_quintile_share(uni) + 0.15
         assert top_quintile_share(fat) > 0.5
 
     def test_background_fraction_one_is_uniformish(self):
         w = FatTailedWorkload(background_fraction=1.0)
-        users = w.generate(AREA, 300, seed=3)
+        users = _users(w.generate(AREA, 300, seed=3))
         assert len(users) == 300
 
     def test_validation(self):
@@ -147,7 +160,7 @@ class TestScenarios:
         w = FatTailedWorkload(
             rate_classes=((0.8, 2_000.0), (0.2, 2.5e6)),
         )
-        users = w.generate(AREA, 1000, seed=4)
+        users = _users(w.generate(AREA, 1000, seed=4))
         rates = [u.min_rate_bps for u in users]
         video = sum(1 for r in rates if r == 2.5e6)
         assert set(rates) == {2_000.0, 2.5e6}

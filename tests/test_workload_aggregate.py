@@ -30,13 +30,17 @@ def _random_users(n: int, extent: float, seed: int):
     return users_from_points([(float(x), float(y)) for x, y in xy])
 
 
-def _aggregate(users, cell_size_m: float):
-    """:func:`aggregate_users` over a list of :class:`User` objects."""
+def _arrays(users):
+    """The ``(xy, min_rate)`` arrays of a list of :class:`User` objects."""
     xy = np.array(
         [[u.position.x, u.position.y] for u in users], dtype=float
     ).reshape(len(users), 2)
-    rates = np.array([u.min_rate_bps for u in users], dtype=float)
-    return aggregate_users(xy, rates, cell_size_m)
+    return xy, np.array([u.min_rate_bps for u in users], dtype=float)
+
+
+def _aggregate(users, cell_size_m: float):
+    """:func:`aggregate_users` over a list of :class:`User` objects."""
+    return aggregate_users(*_arrays(users), cell_size_m)
 
 
 class TestAggregateUsers:
@@ -97,7 +101,7 @@ class TestAggregateUsers:
 class TestSingletonCells:
     def test_one_cell_per_user_zero_radius(self):
         users = _random_users(40, 600.0, seed=7)
-        cells = singleton_cells(users)
+        cells = singleton_cells(*_arrays(users))
         assert len(cells) == len(users)
         for i, cell in enumerate(cells):
             assert cell.index == i
