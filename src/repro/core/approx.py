@@ -13,8 +13,9 @@ The enumeration runs on a shared :class:`repro.core.context.SolverContext`
 layers on top of the paper-faithful loop:
 
 * the connectivity prune is evaluated for all subsets at once
-  (vectorised; decisions identical to the scalar reference, so the serial
-  default stays bit-identical to the historical implementation);
+  (vectorised; decisions identical to the per-subset scalar oracle in the
+  tests, so the serial default stays bit-identical to the historical
+  implementation);
 * ``bound_prune=True`` visits subsets in descending order of an admissible
   upper bound (:func:`repro.core.context.subset_bounds`) and skips any
   subset whose bound cannot beat the best found — a lossless prune whose
@@ -77,7 +78,6 @@ from repro.core.greedy import anchored_greedy, pair_greedy
 from repro.core.problem import ProblemInstance
 from repro.core.segments import SegmentPlan, optimal_segments
 from repro.flow.bipartite import new_engine_for
-from repro.graphs.bfs import UNREACHABLE
 from repro.network.deployment import Deployment
 from repro.util.interrupt import SolveInterrupted, interrupt_requested
 
@@ -131,6 +131,7 @@ class ApproxResult:
 
 def _anchor_pool(
     problem: ProblemInstance,
+    context: SolverContext,
     anchor_candidates: "list | None",
     max_anchor_candidates: "int | None",
     s: int,
@@ -152,9 +153,8 @@ def _anchor_pool(
     if max_anchor_candidates is not None and len(pool) > max_anchor_candidates:
         # Keep the locations that can cover the most users (evaluated with
         # the largest-capacity UAV's radio), ties to lower index.
-        strongest = problem.fleet[problem.capacity_order()[0]]
-        graph = problem.graph
-        pool.sort(key=lambda v: (-graph.coverage_weight(v, strongest), v))
+        counts = context.counts_for_uav(problem.capacity_order()[0]).tolist()
+        pool.sort(key=lambda v: (-counts[v], v))
         pool = sorted(pool[:max_anchor_candidates])
     return pool
 
@@ -169,26 +169,6 @@ def _final_assignment(graph, fleet, placements: dict):
     if demands is not None and demands.size and int(demands.max()) > 1:
         return optimal_cell_assignment(graph, fleet, placements)
     return optimal_assignment(graph, fleet, placements)
-
-
-def _prunable(problem: ProblemInstance, subset: tuple) -> bool:
-    """Scalar reference for the connectivity prune (the vectorised
-    :func:`repro.core.context.prunable_mask` must agree with it; property
-    tests assert this).  True if the anchors provably cannot appear in any
-    feasible solution: some pair is disconnected, or the path joining the
-    two farthest anchors alone already needs more than ``K`` nodes (a valid
-    lower bound on any connected subgraph containing the anchors; see
-    :func:`repro.graphs.steiner.connection_cost_lower_bound`)."""
-    graph = problem.graph
-    worst = 0
-    for a_pos in range(len(subset) - 1):
-        row = graph.hops_from(subset[a_pos])
-        for b in subset[a_pos + 1:]:
-            d = row[b]
-            if d == UNREACHABLE:
-                return True
-            worst = max(worst, d)
-    return max(len(subset), worst + 1) > problem.num_uavs
 
 
 def _fallback_single(problem: ProblemInstance) -> ApproxResult:
@@ -720,16 +700,7 @@ def appro_alg(
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     s = min(s, problem.num_uavs)
-    pool = _anchor_pool(problem, anchor_candidates, max_anchor_candidates, s)
-    if len(pool) < s:
-        raise ValueError(
-            f"anchor pool of {len(pool)} locations cannot host s = {s} anchors"
-        )
-
-    obs.counter_inc("approx.runs")
-    order = problem.capacity_order()
     stats = ApproxStats(workers=workers)
-    plan = optimal_segments(problem.num_uavs, s)
     if context is None:
         with obs.span("approx.context_build"):
             context = SolverContext.from_problem(problem)
@@ -740,6 +711,17 @@ def appro_alg(
             f"(context: {context.num_locations} locations, "
             f"{context.num_users} users, {context.num_uavs} UAVs)"
         )
+    pool = _anchor_pool(
+        problem, context, anchor_candidates, max_anchor_candidates, s
+    )
+    if len(pool) < s:
+        raise ValueError(
+            f"anchor pool of {len(pool)} locations cannot host s = {s} anchors"
+        )
+
+    obs.counter_inc("approx.runs")
+    order = problem.capacity_order()
+    plan = optimal_segments(problem.num_uavs, s)
 
     eval_kw = dict(
         inner=inner, gain_mode=gain_mode, augment_leftover=augment_leftover

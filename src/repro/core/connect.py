@@ -6,6 +6,11 @@ into a shortest path in the location graph, and deploy the remaining UAVs
 (in decreasing capacity order) on the relay nodes so the final network is
 connected.  If the connected subgraph needs more than ``K`` nodes the
 anchor set is infeasible and ``None`` is returned.
+
+Candidate relay and frontier locations are ranked from a
+:class:`~repro.core.context.SolverContext`: fast mode scores them all in
+one batched reduction, exact mode tries them one by one on the flow
+engine behind a static coverage-count pre-filter.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.context import SolverContext
 from repro.core.greedy import GreedyResult
 from repro.core.problem import ProblemInstance
 
@@ -34,33 +40,40 @@ def connect_and_deploy(
     order: "list | None" = None,
     augment_leftover: bool = True,
     gain_mode: str = "exact",
-    context: "object | None" = None,
+    context: "SolverContext | None" = None,
 ) -> "ConnectedSolution | None":
     """Connect the greedy's locations and staff the relays with UAVs.
 
-    ``context`` (a :class:`repro.core.context.SolverContext`) supplies
-    precomputed coverage counts for the frontier pre-filter; the connection
-    itself always runs on the graph's cached hop rows.  Results are
-    identical with or without it.
+    ``context`` (a :class:`repro.core.context.SolverContext`, built from
+    ``problem`` when ``None``) supplies the coverage counts and packed
+    coverage rows the candidate scans read; the connection itself always
+    runs on the graph's cached hop rows.
 
     Relay staffing follows the paper's "arbitrary, e.g. greedy" guidance:
     remaining UAVs are taken in decreasing capacity order and each is put on
-    the relay location with the largest exact marginal gain (relays can
-    serve users too, so this only helps).  Returns ``None`` when the
-    connected subgraph would need more than ``K`` UAVs.
+    the relay location with the largest marginal gain (relays can serve
+    users too, so this only helps).  Returns ``None`` when the connected
+    subgraph would need more than ``K`` UAVs.
 
     When ``augment_leftover`` is true (default) the ``K - q_j`` UAVs that
     Algorithm 2 as written would leave on the ground are deployed too: each
     goes, in decreasing capacity order, to the unoccupied location adjacent
-    to the current network with the largest exact gain, stopping at zero
-    gain.  This preserves connectivity and can only increase coverage; the
+    to the current network with the largest gain, stopping at zero gain.
+    This preserves connectivity and can only increase coverage; the
     ablation bench quantifies its effect (it is our addition, not the
     paper's — see DESIGN.md §3).
+
+    Gains follow ``gain_mode`` as in the greedy: ``"exact"`` tries each
+    candidate on the engine (try/rollback), ``"fast"`` ranks all of them
+    by the direct gain bound in one masked popcount and takes the first
+    maximum.
     """
     graph = problem.graph
     fleet = problem.fleet
     if order is None:
         order = problem.capacity_order()
+    if context is None:
+        context = SolverContext.from_problem(problem)
 
     terminals = [loc for _, loc in greedy.chosen]
     nodes, _tree = graph.connect_terminals(terminals)
@@ -75,14 +88,10 @@ def connect_and_deploy(
 
     engine = greedy.engine
     fast = gain_mode == "fast"
-    batched = fast and context is not None
     pending = list(relays)
     for k in remaining[: len(relays)]:
         uav = fleet[k]
-        if batched:
-            # One masked popcount ranks every pending relay; argmax
-            # returns the first maximum, which is exactly where the scalar
-            # strict-improvement scan lands.
+        if fast:
             gains = engine.direct_gain_bounds(
                 context.coverage_rows(k)[np.asarray(pending)], uav.capacity
             )
@@ -91,15 +100,10 @@ def connect_and_deploy(
             best_gain = -1
             best_loc = pending[0]
             for loc in pending:
-                if fast:
-                    gain = engine.direct_gain_bound(
-                        graph.coverable_array(loc, uav), uav.capacity
-                    )
-                else:
-                    gain = engine.try_open(
-                        (k, loc), graph.coverable_array(loc, uav), uav.capacity
-                    )
-                    engine.rollback()
+                gain = engine.try_open(
+                    (k, loc), graph.coverable_array(loc, uav), uav.capacity
+                )
+                engine.rollback()
                 if gain > best_gain:
                     best_gain, best_loc = gain, loc
         engine.open(
@@ -121,45 +125,34 @@ def connect_and_deploy(
             if not frontier:
                 break
             uav = fleet[k]
-            counts = None if context is None else context.counts_for_uav(k)
-            if batched:
-                # Batched form of the scan below: the static pre-filter is
-                # subsumed (every frontier gain lands in one reduction) and
-                # first-argmax-if-positive equals the scalar winner.
-                locs = np.asarray(sorted(frontier))
+            locs = sorted(frontier)
+            if fast:
                 gains = engine.direct_gain_bounds(
-                    context.coverage_rows(k)[locs], uav.capacity
+                    context.coverage_rows(k)[np.asarray(locs)], uav.capacity
                 )
                 pos = int(np.argmax(gains))
-                best_loc = int(locs[pos]) if int(gains[pos]) > 0 else -1
+                best_loc = locs[pos] if int(gains[pos]) > 0 else -1
             else:
+                counts = context.counts_for_uav(k)
                 best_gain = 0
                 best_loc = -1
-                for loc in sorted(frontier):
-                    count = (
-                        int(counts[loc]) if counts is not None
-                        else graph.coverage_weight(loc, uav)
-                    )
-                    if min(uav.capacity, count) <= best_gain:
+                for loc in locs:
+                    # Static pre-filter: min(capacity, |cover|) bounds the
+                    # exact gain, so skip what cannot strictly improve.
+                    if min(uav.capacity, int(counts[loc])) <= best_gain:
                         continue
-                    if fast:
-                        gain = engine.direct_gain_bound(
-                            graph.coverable_array(loc, uav), uav.capacity
-                        )
-                    else:
-                        gain = engine.try_open(
-                            (k, loc), graph.coverable_array(loc, uav),
-                            uav.capacity,
-                        )
-                        engine.rollback()
+                    gain = engine.try_open(
+                        (k, loc), graph.coverable_array(loc, uav),
+                        uav.capacity,
+                    )
+                    engine.rollback()
                     if gain > best_gain:
                         best_gain, best_loc = gain, loc
             if best_loc < 0:
                 break  # nothing adjacent helps; stop deploying
             engine.open(
-                (k, best_loc),
-                graph.coverable_array(best_loc, fleet[k]),
-                fleet[k].capacity,
+                (k, best_loc), graph.coverable_array(best_loc, uav),
+                uav.capacity,
             )
             placements[k] = best_loc
             occupied.add(best_loc)

@@ -283,8 +283,9 @@ def prunable_mask(
     """Vectorised form of the connectivity prune: ``True`` where an anchor
     subset provably cannot appear in any feasible solution (some pair
     disconnected, or the farthest pair's path alone already needs more than
-    ``K`` nodes).  Decisions are identical to the scalar ``_prunable``
-    reference in :mod:`repro.core.approx`."""
+    ``K`` nodes).  Decisions are identical to checking each subset's anchor
+    pairs one by one on the graph's hop rows (the tests keep that scalar
+    form as the oracle)."""
     n, s = subsets.shape
     out = np.zeros(n, dtype=bool)
     hop = context.hop_matrix

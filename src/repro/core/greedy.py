@@ -6,26 +6,28 @@ matroid-feasible location with the largest *exact* marginal gain in served
 users (marginal gains are computed with the incremental max-flow engine,
 so they equal re-solving Section II-D from scratch).
 
-Performance notes (results are identical to the naive implementation):
+Every round is numpy-native over a :class:`~repro.core.context.
+SolverContext` (built from the problem when the caller passes none):
 
-* ``min(capacity, |coverable|)`` upper-bounds any station's marginal gain,
-  so candidates are scanned in decreasing bound order and the scan stops
-  once the bound falls to the best exact gain already found;
-* in the first iteration the gain is exactly ``min(capacity, |coverable|)``
-  (no other stations to interact with), so no flow computation is needed;
-* with a :class:`~repro.core.context.SolverContext` the whole inner loop is
-  numpy-native: matroid feasibility is one comparison against the hop
-  array (:meth:`IncrementalHopFilter.max_addable_hop`), candidate gains
-  are one masked popcount over the context's packed coverage matrix
-  (:meth:`IncrementalAssignment.direct_gain_bounds`), and in exact mode
-  the batched direct bounds additionally pre-shrink the scan: any
-  candidate whose static bound is below the best batched *lower* bound
-  can never be scanned before the cutoff fires, so it is dropped without
-  changing a single oracle call.
+* matroid feasibility is one comparison against the hop array
+  (:meth:`IncrementalHopFilter.max_addable_hop`);
+* ``min(capacity, |coverable|)`` upper-bounds any station's marginal gain
+  and is one lookup in the context's coverage counts; in the first
+  iteration it *is* the gain (no other stations to interact with), so no
+  flow computation is needed;
+* candidate direct gains are one masked popcount over the context's
+  packed coverage matrix (:meth:`IncrementalAssignment.direct_gain_bounds`);
+* in exact mode candidates are scanned in decreasing static-bound order
+  and the scan stops once the bound falls to the best exact gain found;
+  the batched direct gains are *lower* bounds, so any candidate whose
+  static bound is below the best of them can never be scanned before the
+  cutoff fires and is dropped up front.
 
 Zero-gain ties are broken in favour of anchors, then lowest location index
 (determinism).  The counting bounds ``Q_h`` guarantee all ``s`` anchors are
 in the solution at termination; this is asserted.
+``tests/test_solver_oracle.py`` checks these batched forms against
+per-candidate scalar loops.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
+from repro.core.context import SolverContext
 from repro.core.problem import ProblemInstance
 from repro.core.segments import SegmentPlan
 from repro.flow.bipartite import IncrementalAssignment, new_engine_for
@@ -69,7 +72,7 @@ def anchored_greedy(
     plan: SegmentPlan,
     order: "list | None" = None,
     gain_mode: str = "exact",
-    context: "object | None" = None,
+    context: "SolverContext | None" = None,
     engine: "IncrementalAssignment | None" = None,
 ) -> GreedyResult:
     """Run the greedy for anchor set ``anchors`` under segment plan ``plan``.
@@ -88,10 +91,10 @@ def anchored_greedy(
       selection score is approximated.  The ablation bench quantifies the
       difference (typically nil to a fraction of a percent of coverage).
 
-    ``context`` (a :class:`repro.core.context.SolverContext`) supplies hop
-    rows and coverage counts from its precomputed arrays — same values as
-    the graph lookups, so results are identical either way — and switches
-    the candidate loop to its batched numpy form.
+    ``context`` (a :class:`repro.core.context.SolverContext`) supplies the
+    hop rows, coverage counts and packed coverage matrix every round reads;
+    when ``None`` one is built from ``problem``, as :func:`repro.core.
+    approx.appro_alg` does.
 
     ``engine`` optionally supplies a warm :class:`IncrementalAssignment`
     with no open stations — typically one the caller has :meth:`~
@@ -110,113 +113,63 @@ def anchored_greedy(
         )
     if order is None:
         order = problem.capacity_order()
+    if context is None:
+        context = SolverContext.from_problem(problem)
 
-    if context is not None:
-        hops = context.hops_to_set(list(anchor_set))
-    else:
-        hops = graph.hops_to_set(list(anchor_set))
+    hops = context.hops_to_set(list(anchor_set))
     matroid = HopCountingMatroid(hops, plan.q_bounds())
     hop_filter = IncrementalHopFilter(matroid)
-    universe = sorted(matroid.ground_set())
     if engine is None:
         engine = new_engine_for(graph)
 
-    if context is not None:
-        universe_arr = np.asarray(universe, dtype=np.int64)
-        uhops = np.asarray(hops, dtype=np.int64)[universe_arr]
-        anchor_flags = np.isin(
-            universe_arr, np.fromiter(anchor_set, dtype=np.int64)
-        )
-        avail = np.ones(universe_arr.size, dtype=bool)
+    universe = np.asarray(sorted(matroid.ground_set()), dtype=np.int64)
+    uhops = np.asarray(hops, dtype=np.int64)[universe]
+    anchor_flags = np.isin(universe, np.fromiter(anchor_set, dtype=np.int64))
+    avail = np.ones(universe.size, dtype=bool)
 
     chosen: list = []
-    used_locations: set = set()
-    rounds = min(plan.lmax, len(order))
-    for k_pos in range(rounds):
-        k = order[k_pos]
+    for k in order[: plan.lmax]:
         uav = fleet[k]
-        first_iteration = not chosen
-
-        if context is not None:
-            # Numpy-native round: feasibility is one hop comparison,
-            # gains one batched reduction over the coverage matrix.
-            cand_mask = avail & (uhops <= hop_filter.max_addable_hop())
-            if not cand_mask.any():
-                break
-            cand = universe_arr[cand_mask]
-            cand_anchor = anchor_flags[cand_mask]
-            static = np.minimum(
-                uav.capacity,
-                context.counts_for_uav(k)[cand].astype(np.int64),
+        # Feasibility is one hop comparison, gains one batched reduction
+        # over the coverage matrix.
+        cand_mask = avail & (uhops <= hop_filter.max_addable_hop())
+        if not cand_mask.any():
+            break
+        cand = universe[cand_mask]
+        cand_anchor = anchor_flags[cand_mask]
+        static = np.minimum(
+            uav.capacity, context.counts_for_uav(k)[cand].astype(np.int64)
+        )
+        if not chosen:
+            # With no open stations the static bound is the exact gain.
+            best_v, _ = _pick_max(cand, static, cand_anchor)
+        elif gain_mode == "fast":
+            gains = engine.direct_gain_bounds(
+                context.coverage_rows(k)[cand], uav.capacity
             )
-            if first_iteration:
-                # With no open stations the static bound is the exact gain.
-                best_v, _ = _pick_max(cand, static, cand_anchor)
-            elif gain_mode == "fast":
-                gains = engine.direct_gain_bounds(
-                    context.coverage_rows(k)[cand], uav.capacity
-                )
-                best_v, _ = _pick_max(cand, gains, cand_anchor)
-            else:
-                # Exact mode: the batched direct bounds are *lower* bounds,
-                # so any candidate whose static upper bound falls below the
-                # best of them would only ever be reached after the scan
-                # cutoff fires — dropping it changes nothing, including the
-                # oracle-call count.
-                lower = engine.direct_gain_bounds(
-                    context.coverage_rows(k)[cand], uav.capacity
-                )
-                keep = static >= int(lower.max())
-                best_v = _exact_scan(
-                    engine, graph, uav, k, anchor_set,
-                    static[keep].tolist(), cand[keep].tolist(),
-                )
-            avail[np.searchsorted(universe_arr, best_v)] = False
+            best_v, _ = _pick_max(cand, gains, cand_anchor)
         else:
-            candidates = [
-                v for v in universe
-                if v not in used_locations and hop_filter.can_add(v)
-            ]
-            if not candidates:
-                break
-            if first_iteration or gain_mode == "fast":
-                # With no open stations, min(capacity, |cover|) is the exact
-                # gain; in fast mode the direct bound is the selection score.
-                best_gain = -1
-                best_v = -1
-                best_is_anchor = False
-                for v in candidates:
-                    if first_iteration:
-                        gain = min(
-                            uav.capacity, graph.coverage_weight(v, uav)
-                        )
-                    else:
-                        gain = engine.direct_gain_bound(
-                            graph.coverable_array(v, uav), uav.capacity
-                        )
-                    is_anchor = v in anchor_set
-                    if gain > best_gain or (
-                        gain == best_gain and is_anchor and not best_is_anchor
-                    ):
-                        best_gain, best_v, best_is_anchor = gain, v, is_anchor
-            else:
-                static = [
-                    min(uav.capacity, graph.coverage_weight(v, uav))
-                    for v in candidates
-                ]
-                best_v = _exact_scan(
-                    engine, graph, uav, k, anchor_set, static, candidates
-                )
-
-        assert best_v >= 0
+            # Exact mode: the batched direct bounds are *lower* bounds, so
+            # any candidate whose static upper bound falls below the best
+            # of them would only ever be reached after the scan cutoff
+            # fires — dropping it changes nothing, including the
+            # oracle-call count.
+            lower = engine.direct_gain_bounds(
+                context.coverage_rows(k)[cand], uav.capacity
+            )
+            keep = static >= int(lower.max())
+            best_v = _exact_scan(
+                engine, graph, uav, k, anchor_set,
+                static[keep].tolist(), cand[keep].tolist(),
+            )
+        avail[np.searchsorted(universe, best_v)] = False
         engine.open(
-            (k, best_v), graph.coverable_array(best_v, fleet[k]), fleet[k].capacity
+            (k, best_v), graph.coverable_array(best_v, uav), uav.capacity
         )
         hop_filter.add(best_v)
-        used_locations.add(best_v)
         chosen.append((k, best_v))
 
-    missing = anchor_set - used_locations
+    missing = anchor_set - {v for _, v in chosen}
     assert not missing, (
         f"anchors {sorted(missing)} not selected; the Q_h counting bounds "
         "should force all anchors into the solution"
@@ -263,7 +216,7 @@ def pair_greedy(
     problem: ProblemInstance,
     anchors: list,
     plan: SegmentPlan,
-    context: "object | None" = None,
+    context: "SolverContext | None" = None,
     engine: "IncrementalAssignment | None" = None,
 ) -> GreedyResult:
     """Textbook FNW greedy over the full ``X × V`` ground set.
@@ -277,8 +230,8 @@ def pair_greedy(
 
     Gains are exact (try/rollback); the ``min(capacity, |cover|)`` bound
     prunes the pair scan.  Zero-gain ties prefer anchor locations so the
-    anchors always enter the solution.  ``engine`` works as in
-    :func:`anchored_greedy`.
+    anchors always enter the solution.  ``context`` and ``engine`` work as
+    in :func:`anchored_greedy`.
     """
     graph = problem.graph
     fleet = problem.fleet
@@ -287,10 +240,9 @@ def pair_greedy(
         raise ValueError(
             f"expected {plan.s} distinct anchors, got {sorted(anchor_set)}"
         )
-    if context is not None:
-        hops = context.hops_to_set(list(anchor_set))
-    else:
-        hops = graph.hops_to_set(list(anchor_set))
+    if context is None:
+        context = SolverContext.from_problem(problem)
+    hops = context.hops_to_set(list(anchor_set))
     matroid = HopCountingMatroid(hops, plan.q_bounds())
     hop_filter = IncrementalHopFilter(matroid)
     universe = sorted(matroid.ground_set())
@@ -310,14 +262,9 @@ def pair_greedy(
             break
         scored = []
         for k in free_uavs:
-            uav = fleet[k]
-            counts = None if context is None else context.counts_for_uav(k)
-            for v in candidates:
-                count = (
-                    int(counts[v]) if counts is not None
-                    else graph.coverage_weight(v, uav)
-                )
-                scored.append((min(uav.capacity, count), k, v))
+            capacity = fleet[k].capacity
+            counts = context.counts_for_uav(k).tolist()
+            scored.extend((min(capacity, counts[v]), k, v) for v in candidates)
         scored.sort(key=lambda t: (-t[0], t[1], t[2]))
 
         best = (-1, -1, -1, False)  # gain, k, v, is_anchor

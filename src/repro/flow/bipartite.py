@@ -11,28 +11,25 @@ augments it in two phases:
 2. *chain phase* — one alternating-path augmentation per remaining unit
    of capacity, stopping at the first failure.
 
-The chain phase ships two interchangeable search strategies:
+The chain phase is a layered breadth-first search over user *bitsets*.
+Each open station keeps its cover and its currently assigned users as
+arbitrary-precision integer bitsets (bit ``u`` = user ``u``), so
+expanding a station is one word-parallel AND against the not-yet-visited
+mask, the free-user test is another, and owner discovery intersects the
+reached set with each station's assigned bitset — a handful of
+machine-word loops per layer instead of a Python walk over thousands of
+users.  Reached stations remember the *witness* user through which they
+were reached, which reconstructs the alternating path for reassignment.
+(Python ints beat packed numpy arrays here: at a few thousand users a
+bitset AND is ~100ns with no per-call dispatch overhead.)  Successive
+augmentations of one open usually run along the same station chain, so
+each search leaves its chain behind for the next round to replay.
 
-* ``chain="bfs"`` (default) — a layered breadth-first search over user
-  *bitsets*.  Each open station keeps its cover and its currently
-  assigned users as arbitrary-precision integer bitsets (bit ``u`` =
-  user ``u``), so expanding a station is one word-parallel AND against
-  the not-yet-visited mask, the free-user test is another, and owner
-  discovery intersects the reached set with each station's assigned
-  bitset — a handful of machine-word loops per layer instead of a Python
-  walk over thousands of users.  Reached stations remember the *witness*
-  user through which they were reached, which reconstructs the
-  alternating path for reassignment.  (Python ints beat packed numpy
-  arrays here: at a few thousand users a bitset AND is ~100ns with no
-  per-call dispatch overhead.)
-* ``chain="dfs"`` — the original Kuhn-style scalar DFS, kept as the
-  serial reference implementation: differential tests pin the BFS
-  engine's served counts against it (both maintain exact maximum
-  assignments; only *which* equal-value assignment is realised differs).
-
-Either way the result is an *exact* maximum assignment after every open:
-each augmentation increases the max flow by exactly one, and a failed
-search proves no further augmentation through the new station exists.
+The result is an *exact* maximum assignment after every open: each
+augmentation increases the max flow by exactly one, and a failed search
+proves no further augmentation through the new station exists.  The
+tests pin every open against an independent Dinic max flow
+(:mod:`repro.flow.dinic`).
 
 ``try_open``/``rollback`` journal all mutations so thousands of candidate
 evaluations reuse one engine.  On top of that, :meth:`fork` opens a
@@ -71,24 +68,12 @@ class IncrementalAssignment:
     keys (Algorithm 2 uses ``(uav_index, location_index)``).  Each user may
     be assigned to at most one station that covers it; each station serves
     at most its capacity.
-
-    ``chain`` selects the augmentation strategy (see the module docstring);
-    ``None`` resolves to :attr:`DEFAULT_CHAIN`.
     """
 
-    #: Class-level default for the chain strategy.  The bench harness flips
-    #: this to ``"dfs"`` to time the scalar reference loop.
-    DEFAULT_CHAIN = "bfs"
-
-    def __init__(self, num_users: int, chain: "str | None" = None) -> None:
+    def __init__(self, num_users: int) -> None:
         if num_users < 0:
             raise ValueError(f"num_users must be non-negative, got {num_users}")
-        if chain is None:
-            chain = type(self).DEFAULT_CHAIN
-        if chain not in ("bfs", "dfs"):
-            raise ValueError(f"chain must be 'bfs' or 'dfs', got {chain!r}")
         self.num_users = num_users
-        self._chain = chain
         self._assigned_id = np.full(num_users, -1, dtype=np.int64)
         self._assigned_mask = np.zeros(num_users, dtype=bool)
         self._assigned_int = 0        # bitset of assigned users (bit u = user u)
@@ -97,17 +82,10 @@ class IncrementalAssignment:
         self._names: list = []        # slot -> station key
         self._slots: dict = {}        # station key -> slot
         self._cover_arrs: list = []   # slot -> np.int64 cover array
-        self._cover_ints: list = []   # slot -> cover bitset (bfs mode)
-        self._slot_ints: list = []    # slot -> assigned-user bitset (bfs mode)
+        self._cover_ints: list = []   # slot -> cover bitset
+        self._slot_ints: list = []    # slot -> assigned-user bitset
         self._caps: list = []
         self._loads: list = []
-        # Scalar-reference (dfs) bookkeeping only.
-        self._cover_lists: list = []
-        self._assigned_list: list = (
-            [-1] * num_users if chain == "dfs" else []
-        )
-        self._visit_stamp: list = [0] * num_users if chain == "dfs" else []
-        self._stamp = 0
         self._served = 0
         self._pending: "Hashable | None" = None
         self._journal: list = []
@@ -198,7 +176,6 @@ class IncrementalAssignment:
             list(self._loads),
             len(self._names),
             self._served,
-            list(self._assigned_list) if self._chain == "dfs" else None,
         )
 
     def rollback_fork(self) -> None:
@@ -208,8 +185,7 @@ class IncrementalAssignment:
             raise RuntimeError("no active fork to roll back")
         if self._pending is not None:
             self.rollback()
-        (aid, amask, aint, sints, loads, nslots, served,
-         alist) = self._fork_state
+        (aid, amask, aint, sints, loads, nslots, served) = self._fork_state
         self._fork_state = None
         np.copyto(self._assigned_id, aid)
         np.copyto(self._assigned_mask, amask)
@@ -222,11 +198,7 @@ class IncrementalAssignment:
         del self._names[nslots:]
         del self._cover_arrs[nslots:]
         del self._caps[nslots:]
-        if self._chain == "dfs":
-            self._assigned_list = alist
-            del self._cover_lists[nslots:]
-        else:
-            del self._cover_ints[nslots:]
+        del self._cover_ints[nslots:]
 
     def release_fork(self) -> None:
         """Close the warm-start scope keeping all its mutations."""
@@ -255,27 +227,19 @@ class IncrementalAssignment:
         if cover.ndim != 1:
             raise ValueError("covered_users must be one-dimensional")
 
-        if self._chain == "dfs":
+        # Cover bitsets recur across a sweep (same location, same radio),
+        # so memoise the index-array -> int conversion; a cache hit also
+        # proves the indices were validated before.
+        key = cover.tobytes()
+        cint = self._cover_int_cache.get(key)
+        if cint is None:
             self._validate_cover(cover)
-            slot = self._push_station(station, cover, capacity)
-            self._cover_lists.append([int(u) for u in cover])
-            gain = self._open_direct_scalar(slot, capacity)
-            augment = self._augment_dfs
-        else:
-            # Cover bitsets recur across a sweep (same location, same
-            # radio), so memoise the index-array -> int conversion; a
-            # cache hit also proves the indices were validated before.
-            key = cover.tobytes()
-            cint = self._cover_int_cache.get(key)
-            if cint is None:
-                self._validate_cover(cover)
-                cint = self._users_to_int(cover)
-                self._cover_int_cache[key] = cint
-            slot = self._push_station(station, cover, capacity)
-            self._cover_ints.append(cint)
-            self._slot_ints.append(0)
-            gain = self._open_direct_batch(slot, capacity)
-            augment = self._augment_bfs
+            cint = self._users_to_int(cover)
+            self._cover_int_cache[key] = cint
+        slot = self._push_station(station, cover, capacity)
+        self._cover_ints.append(cint)
+        self._slot_ints.append(0)
+        gain = self._open_direct_batch(slot, capacity)
         direct = gain
         # Chain phase: alternating-path augmentations for the remainder.
         # Successive augmentations of one open usually work along the same
@@ -287,8 +251,8 @@ class IncrementalAssignment:
             if chain is not None and self._replay_chain(chain):
                 gain += 1
                 continue
-            chain = [] if self._chain == "bfs" else None
-            if not augment(slot, chain):
+            chain = []
+            if not self._augment(slot, chain):
                 break
             gain += 1
         obs.counter_inc("flow.try_opens")
@@ -390,21 +354,7 @@ class IncrementalAssignment:
         self._served += k
         return k
 
-    def _open_direct_scalar(self, slot: int, capacity: int) -> int:
-        """Scalar-reference direct phase: first ``capacity`` unassigned
-        users in cover order."""
-        assigned = self._assigned_list
-        gain = 0
-        for u in self._cover_lists[slot]:
-            if gain == capacity:
-                break
-            if assigned[u] < 0:
-                self._record_and_assign(u, slot)
-                self._served += 1
-                gain += 1
-        return gain
-
-    def _augment_bfs(self, root: int, chain: "list | None" = None) -> bool:
+    def _augment(self, root: int, chain: list) -> bool:
         """One unit of augmentation ending at ``root`` (which has spare
         capacity), via layered BFS over user bitsets.
 
@@ -414,9 +364,9 @@ class IncrementalAssignment:
         augmenting path, while surviving assigned users hand reachability
         to their owner stations (``reach & slot_bitset`` per station, each
         remembering ``st`` and a witness user).  A failed search proves no
-        augmentation through ``root`` exists — same exact maximum as the
-        scalar DFS reference; only which equal-value assignment is
-        realised may differ.
+        augmentation through ``root`` exists.  The stations of a successful
+        path are appended to ``chain``, leaf first, for
+        :meth:`_replay_chain`.
         """
         covers = self._cover_ints
         slot_ints = self._slot_ints
@@ -441,8 +391,8 @@ class IncrementalAssignment:
                 if free:
                     # Unwind: the free user joins st, then each station up
                     # the parent chain takes its witness user from its
-                    # child (inlined _record_and_assign — this is the
-                    # hottest path in the whole solver).
+                    # child (inlined: this is the hottest path in the
+                    # whole solver).
                     user = (free & -free).bit_length() - 1
                     journal.append((user, -1))
                     slot_ints[st] |= 1 << user
@@ -450,8 +400,7 @@ class IncrementalAssignment:
                     self._assigned_mask[user] = True
                     aid[user] = st
                     loads[st] += 1
-                    if chain is not None:
-                        chain.append(st)
+                    chain.append(st)
                     while st != root:
                         u = parent_user[st]
                         ps = parent_station[st]
@@ -463,8 +412,7 @@ class IncrementalAssignment:
                         loads[ps] += 1
                         aid[u] = ps
                         st = ps
-                        if chain is not None:
-                            chain.append(st)
+                        chain.append(st)
                     self._served += 1
                     return True
                 visited |= reach
@@ -531,100 +479,16 @@ class IncrementalAssignment:
         self._served += 1
         return True
 
-    def _augment_dfs(self, root: int, chain: "list | None" = None) -> bool:
-        """The scalar reference: Kuhn-style alternating-path DFS.
-
-        A path is root -> u1 (covered by root, assigned to T1) -> T1 -> u2
-        (covered by T1, assigned to T2) -> ... -> uk unassigned; augmenting
-        reassigns each user one station up the chain, netting exactly one
-        newly served user.  A failed search leaves the assignment untouched
-        and proves no augmentation through ``root`` exists.
-        """
-        self._stamp += 1
-        stamp = self._stamp
-        visit = self._visit_stamp
-        assigned_to = self._assigned_list
-        covers = self._cover_lists
-
-        # Iterative DFS with both sides marked per augmentation: users via
-        # the stamp array, stations via ``explored``.  A station is explored
-        # at most once — by the time it is popped its entire cover is
-        # stamped, so re-exploring it can never find anything new (standard
-        # Kuhn left-vertex marking).  Total work is O(E).
-        #
-        # A frame is [station, scan_index, claim_user]: ``claim_user`` is
-        # the user (currently assigned to ``station``) that the *parent*
-        # frame's station wants to take over.
-        explored = {root}
-        frames: list = [[root, 0, -1]]
-        while frames:
-            frame = frames[-1]
-            station, idx = frame[0], frame[1]
-            cover = covers[station]
-            cover_len = len(cover)
-            pushed = False
-            while idx < cover_len:
-                u = cover[idx]
-                idx += 1
-                if visit[u] == stamp:
-                    continue
-                visit[u] = stamp
-                owner = assigned_to[u]
-                if owner < 0:
-                    # Success: u joins this station; unwind the chain, each
-                    # parent taking its claimed user from its child.
-                    frame[1] = idx
-                    self._record_and_assign(u, station)
-                    for depth in range(len(frames) - 1, 0, -1):
-                        child = frames[depth]
-                        parent_station = frames[depth - 1][0]
-                        self._record_and_assign(child[2], parent_station)
-                    self._served += 1
-                    return True
-                if owner not in explored:
-                    explored.add(owner)
-                    frame[1] = idx
-                    frames.append([owner, 0, u])
-                    pushed = True
-                    break
-            if not pushed:
-                frame[1] = idx
-                frames.pop()
-        return False
-
-    def _record_and_assign(self, user: int, slot: int) -> None:
-        old = int(self._assigned_id[user])
-        if self._pending is not None:
-            self._journal.append((user, old))
-        if self._chain == "dfs":
-            self._assigned_list[user] = slot
-        else:
-            bit = 1 << user
-            self._slot_ints[slot] |= bit
-            if old >= 0:
-                self._slot_ints[old] &= ~bit
-            else:
-                self._assigned_int |= bit
-        if old >= 0:
-            self._loads[old] -= 1
-        else:
-            self._assigned_mask[user] = True
-        self._assigned_id[user] = slot
-        self._loads[slot] += 1
-
     def _undo(self, user: int, old: int) -> None:
         cur = int(self._assigned_id[user])
         self._loads[cur] -= 1
         self._assigned_id[user] = old
-        if self._chain == "dfs":
-            self._assigned_list[user] = old
+        bit = 1 << user
+        self._slot_ints[cur] &= ~bit
+        if old >= 0:
+            self._slot_ints[old] |= bit
         else:
-            bit = 1 << user
-            self._slot_ints[cur] &= ~bit
-            if old >= 0:
-                self._slot_ints[old] |= bit
-            else:
-                self._assigned_int &= ~bit
+            self._assigned_int &= ~bit
         if old >= 0:
             self._loads[old] += 1
         else:
@@ -649,11 +513,8 @@ class IncrementalAssignment:
         self._cover_arrs.pop()
         self._caps.pop()
         self._loads.pop()
-        if self._chain == "dfs":
-            self._cover_lists.pop()
-        else:
-            self._cover_ints.pop()
-            self._slot_ints.pop()
+        self._cover_ints.pop()
+        self._slot_ints.pop()
 
 
 class CellAssignment:
@@ -931,7 +792,7 @@ class CellAssignment:
         return bottleneck
 
 
-def new_engine_for(graph, chain: "str | None" = None):
+def new_engine_for(graph):
     """The right incremental assignment engine for a coverage graph.
 
     Per-user graphs — and singleton-cell graphs, whose demands are all
@@ -942,5 +803,5 @@ def new_engine_for(graph, chain: "str | None" = None):
     need :class:`CellAssignment`."""
     demands = getattr(graph, "cell_demands", None)
     if demands is None or demands.size == 0 or int(demands.max()) <= 1:
-        return IncrementalAssignment(graph.num_users, chain=chain)
+        return IncrementalAssignment(graph.num_users)
     return CellAssignment(demands)

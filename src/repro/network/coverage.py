@@ -258,11 +258,21 @@ class CoverageGraph:
     def coverable_users(self, loc_index: int, uav: UAV) -> list:
         """Users the given UAV could serve from ``loc_index``: within
         ``R_user^k`` and with rate >= their minimum requirement.  Cached per
-        (location, radio signature)."""
-        key = (loc_index, self._radio_key(uav))
+        (location, radio signature); once the radio's
+        :meth:`coverage_bits_matrix` is built, a location's list is decoded
+        from its row on first read."""
+        radio = self._radio_key(uav)
+        key = (loc_index, radio)
         cached = self._coverage_cache.get(key)
         if cached is not None:
             return cached
+        matrix = self._coverage_cache.get(("matrix", radio))
+        if matrix is not None:
+            covered = np.flatnonzero(
+                np.unpackbits(matrix[loc_index], count=self.num_users)
+            ).tolist()
+            self._coverage_cache[key] = covered
+            return covered
         loc: Point3D = self.locations[loc_index]
         if self._user_hash is None:
             self._coverage_cache[key] = []
@@ -299,11 +309,16 @@ class CoverageGraph:
         user, :func:`numpy.packbits` layout).  Cached per (location, radio
         signature); the substrate of the vectorised popcount bounds in
         :class:`repro.core.context.SolverContext`."""
-        key = (loc_index, self._radio_key(uav), "bits")
+        radio = self._radio_key(uav)
+        key = (loc_index, radio, "bits")
         cached = self._coverage_cache.get(key)
         if cached is None:
-            cached = pack_indices(
-                self.coverable_array(loc_index, uav), self.num_users
+            matrix = self._coverage_cache.get(("matrix", radio))
+            cached = (
+                matrix[loc_index] if matrix is not None
+                else pack_indices(
+                    self.coverable_array(loc_index, uav), self.num_users
+                )
             )
             self._coverage_cache[key] = cached
         return cached
@@ -369,8 +384,9 @@ class CoverageGraph:
         radio signature and used by
         :meth:`repro.core.context.SolverContext._build` so a context build
         costs one vectorised pass instead of one numpy call per location.
-        Seeds the per-location caches as a side effect, keeping later
-        scalar lookups cache hits with identical values."""
+        Later per-location lookups under the same radio
+        (:meth:`coverable_users`, :meth:`coverable_bits`) read their row
+        from this matrix on first use, with identical values."""
         radio = self._radio_key(uav)
         key = ("matrix", radio)
         cached = self._coverage_cache.get(key)
@@ -391,11 +407,6 @@ class CoverageGraph:
         bits = np.packbits(mask, axis=1) if self.num_users else np.zeros(
             (self.num_locations, 0), dtype=np.uint8
         )
-        for v in range(self.num_locations):
-            self._coverage_cache.setdefault(
-                (v, radio), np.flatnonzero(mask[v]).tolist()
-            )
-            self._coverage_cache.setdefault((v, radio, "bits"), bits[v])
         self._coverage_cache[key] = bits
         return bits
 

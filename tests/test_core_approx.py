@@ -264,19 +264,30 @@ class TestHeterogeneityAwareness:
 
 class TestContextEquivalence:
     """The vectorised context path (batched bounds, warm-start engine) must
-    reproduce the scalar no-context path bit-for-bit: same served count,
-    same placements, for both gain modes."""
+    reproduce the scalar oracle path bit-for-bit: same served count, same
+    placements, for both gain modes."""
 
     @pytest.mark.parametrize("gain_mode", ["exact", "fast"])
     @given(st.integers(0, 10_000))
     @settings(max_examples=8, deadline=None)
     def test_context_matches_scalar_path(self, gain_mode, seed):
-        from repro.core.context import SolverContext
+        import repro.core.approx as approx
+        from tests.test_solver_oracle import (
+            scalar_anchored_greedy,
+            scalar_connect_and_deploy,
+            scalar_pair_greedy,
+        )
 
         problem = random_tiny_problem(seed)
-        scalar = appro_alg(problem, s=2, gain_mode=gain_mode)
-        ctx = SolverContext.from_problem(problem)
-        vectorised = appro_alg(problem, s=2, gain_mode=gain_mode, context=ctx)
+        vectorised = appro_alg(problem, s=2, gain_mode=gain_mode)
+        # The same sweep on the per-candidate scalar loops.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(approx, "anchored_greedy", scalar_anchored_greedy)
+            patch.setattr(approx, "pair_greedy", scalar_pair_greedy)
+            patch.setattr(
+                approx, "connect_and_deploy", scalar_connect_and_deploy
+            )
+            scalar = appro_alg(problem, s=2, gain_mode=gain_mode)
         assert vectorised.served == scalar.served
         assert vectorised.anchors == scalar.anchors
         assert (vectorised.deployment.placements

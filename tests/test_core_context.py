@@ -10,12 +10,33 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from repro.core.approx import _prunable, appro_alg
+from repro.core.approx import appro_alg
 from repro.core.context import SolverContext, prunable_mask, subset_bounds
-from repro.graphs.bfs import bfs_hops
+from repro.core.problem import ProblemInstance
+from repro.graphs.bfs import UNREACHABLE, bfs_hops
 from repro.network.coverage import CoverageGraph
 from repro.workload.scenarios import paper_scenario
 from tests.conftest import make_line_instance
+
+
+def _prunable(problem: ProblemInstance, subset: tuple) -> bool:
+    """Scalar oracle for the connectivity prune
+    (:func:`repro.core.context.prunable_mask` must agree with it).  True
+    if the anchors provably cannot appear in any feasible solution: some
+    pair is disconnected, or the path joining the two farthest anchors
+    alone already needs more than ``K`` nodes (a valid lower bound on any
+    connected subgraph containing the anchors; see
+    :func:`repro.graphs.steiner.connection_cost_lower_bound`)."""
+    graph = problem.graph
+    worst = 0
+    for a_pos in range(len(subset) - 1):
+        row = graph.hops_from(subset[a_pos])
+        for b in subset[a_pos + 1:]:
+            d = row[b]
+            if d == UNREACHABLE:
+                return True
+            worst = max(worst, d)
+    return max(len(subset), worst + 1) > problem.num_uavs
 
 
 @pytest.fixture(scope="module")
